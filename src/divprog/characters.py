@@ -178,10 +178,7 @@ def _product_histogram(p: int, box1: tuple[int, int], box2: tuple[int, int]) -> 
     conv = np.fft.irfft(np.fft.rfft(h1) * np.fft.rfft(h2), p - 1)
     # conv[k] counts pairs with ind(x1)+ind(x2) = k mod p-1, i.e. x1 x2 = g^k
     g_pow = np.empty(p - 1, dtype=np.int64)
-    x = 1
-    for k in range(p - 1):
-        g_pow[k] = x
-        x = x * table.g % p
+    g_pow[table.index[xs]] = xs
     out[g_pow] = np.rint(conv).astype(np.int64)
     return out
 

@@ -78,7 +78,11 @@ def _cmd_tau(args) -> int:
         _json_out({"X": args.x, "q": args.q, "a": args.a % args.q, "S": vec[args.a]})
         return 0
     rows = [{"a": a, "S": int(vec.sums[a])} for a in range(args.q)]
-    assert vec.total() == total_divisor_sum(args.x)
+    if vec.total() != total_divisor_sum(args.x):
+        raise RuntimeError(
+            f"internal check failed: S(X; a, q) summed over a is {vec.total()}, "
+            f"not sum_(n <= X) tau(n) = {total_divisor_sum(args.x)}"
+        )
     path = _out_path(args, f"tau_x{args.x}_q{args.q}.csv")
     sweeps.emit_report(rows, args.format, path, seed=args.seed)
     print(path)

@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .arith import divisors, euler_phi, is_prime, mobius, ramanujan_sum
+from .arith import divisors, euler_phi, factorize, is_prime, mobius, ramanujan_sum
 from .errors import InvalidRange, NonReducedResidue, NotPrime
 from .tausieve import divisor_sum_progressions, progression_sum_single
 
@@ -84,18 +84,40 @@ def main_term_coprime(X: int, q: int) -> float:
     return phi / q**2 * X * (math.log(X) + 2 * EULER_GAMMA - 1) - 2 * X / q * tail
 
 
+def _divisor_table(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted divisors d of q with mu(d) and phi(d), from one factorization."""
+    rows = [(1, 1, 1)]
+    for p, e in factorize(q):
+        rows = [
+            (d * p**k, mu * (1 if k == 0 else -1 if k == 1 else 0),
+             phi * ((p - 1) * p ** (k - 1) if k else 1))
+            for d, mu, phi in rows
+            for k in range(e + 1)
+        ]
+    divs, mu, phi = np.array(sorted(rows), dtype=np.int64).T
+    return divs, mu, phi
+
+
 def main_term_vector(X: int, q: int) -> np.ndarray:
-    """M(X; a, q) for all residues a = 0..q-1 at once."""
+    """M(X; a, q) for all residues a = 0..q-1 at once.
+
+    r_d(a) depends on a only through g = gcd(a, q), so M is computed once per
+    divisor g of q, with r_d(g) = mu(d/h) phi(d) / phi(d/h), h = gcd(g, d),
+    and gathered by class.  The d-sum runs in ascending d, the order the
+    scalar polynomial uses.
+    """
     if X < 1 or q < 2:
         raise InvalidRange(f"need X >= 1 and q >= 2, got {X}, {q}")
     T = math.log(X)
-    M = np.zeros(q)
-    for d in divisors(q):
-        rd = np.zeros(q)
-        for e in divisors(d):
-            rd[0::e] += e * mobius(d // e)
-        M += rd / d * (T - 2 * math.log(d) + 2 * EULER_GAMMA - 1)
-    return X / q * M
+    divs, mu, phi = _divisor_table(q)
+    h = np.gcd(divs[:, None], divs[None, :])  # [class g, divisor d]
+    quot = np.searchsorted(divs, divs[None, :] // h)
+    r = mu[quot] * (phi[None, :] // phi[quot])
+    M = np.zeros(len(divs))
+    for j, d in enumerate(divs.tolist()):
+        M += r[:, j] / d * (T - 2 * math.log(d) + 2 * EULER_GAMMA - 1)
+    classes = np.searchsorted(divs, np.gcd(np.arange(q, dtype=np.int64), q))
+    return X / q * M[classes]
 
 
 @dataclass(frozen=True)
@@ -202,6 +224,16 @@ def averaged_errors(
     )
 
 
+def exceptional_threshold(X: int, kappa: float) -> float:
+    """X^(1/3 - kappa), the size of R that makes a residue exceptional."""
+    return X ** (1 / 3 - kappa)
+
+
+def exceptional_members(R: np.ndarray, X: int, kappa: float) -> list[int]:
+    """Residues a in [1, len(R) - 1] with R[a] >= X^(1/3 - kappa)."""
+    return (np.flatnonzero(R[1:] >= exceptional_threshold(X, kappa)) + 1).tolist()
+
+
 def exceptional_set(X: int, p: int, kappa: float) -> list[int]:
     """Residues a in [1, p-1] with signed R(X; a, p) >= X^(1/3 - kappa)."""
     if not is_prime(p):
@@ -210,6 +242,4 @@ def exceptional_set(X: int, p: int, kappa: float) -> list[int]:
         raise InvalidRange(f"need kappa in (0, 1/3), got {kappa}")
     if p > X:
         raise InvalidRange(f"need p <= X, got p = {p}, X = {X}")
-    threshold = X ** (1 / 3 - kappa)
-    R = error_vector(X, p).R
-    return [a for a in range(1, p) if R[a] >= threshold]
+    return exceptional_members(error_vector(X, p).R, X, kappa)

@@ -37,7 +37,12 @@ import numpy as np
 
 from .arith import is_prime
 from .errors import ConfigInvalid
-from .mainterm import error_vector, exceptional_set, interval_residues
+from .mainterm import (
+    error_vector,
+    exceptional_members,
+    exceptional_threshold,
+    interval_residues,
+)
 
 REPORT_FLOAT_FORMAT = "%.12g"
 
@@ -344,15 +349,16 @@ def _exceptional_rows(cfg: ExperimentConfig) -> list[dict]:
         for p in sorted(cfg.modulus_grid):
             if not is_prime(p):
                 raise ConfigInvalid(f"modulus_grid: exceptional sweep needs primes, got {p}")
+            R = error_vector(X, p).R
             for kappa in sorted(cfg.kappas):
-                members = exceptional_set(X, p, kappa)
+                members = exceptional_members(R, X, kappa)
                 rhs = exceptional_count_bound(X, p, kappa)
                 rows.append({
                     "experiment": "exceptional",
                     "X": X,
                     "p": p,
                     "kappa": kappa,
-                    "threshold": X ** (1 / 3 - kappa),
+                    "threshold": exceptional_threshold(X, kappa),
                     "count": len(members),
                     "rhs_exceptional": rhs,
                     "ratio_exceptional": len(members) / rhs,

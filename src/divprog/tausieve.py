@@ -8,7 +8,8 @@ Everything is exact int64 / uint32.
 S(X; a, q) = sum of tau(n) over n <= X, n = a mod q comes in three exact
 routes that the tests play against each other:
 
-  * naive: sieve tau on [1, X] and bucket by residue,
+  * naive: sieve tau on [1, X] in cache-sized segments whose length is a
+    multiple of q, and sum each segment's (rows, q) view down its columns,
   * hyperbola: count lattice points dm <= X with dm = a mod q per residue
     class in O(sqrt(X) * q) without materializing tau,
   * single: same counting for one residue only, O(sqrt(X)) modular solves.
@@ -29,6 +30,7 @@ from .errors import InvalidRange, WindowTooLarge
 
 DEFAULT_MEMORY_BUDGET = 2 * 2**30  # bytes
 _WINDOW_CAP = 2**40  # windows must sit below this
+_SEGMENT = 1 << 19  # target tau entries per naive-route segment (2 MiB of uint32)
 
 
 @dataclass(frozen=True)
@@ -93,23 +95,29 @@ class ProgressionSumVector:
         return int(self.sums.sum())
 
 
+def _column_sums(values: np.ndarray, q: int) -> np.ndarray:
+    """Sums of values[i] over i = c mod q, for c = 0..q-1, in int64."""
+    full = len(values) - len(values) % q
+    cols = values[:full].reshape(-1, q).sum(axis=0, dtype=np.int64)
+    cols[: len(values) - full] += values[full:]
+    return cols
+
+
 def _progressions_naive(X: int, q: int, memory_budget: int) -> np.ndarray:
-    buckets = np.zeros(q, dtype=np.int64)
-    seg = min(X, max(q, memory_budget // 16, 1 << 20))
-    start = 1
-    while start <= X:
-        length = min(seg, X - start + 1)
-        tab = sieve_tau(start, length, memory_budget)
-        idx = np.arange(start, start + length, dtype=np.int64) % q
-        # per-bucket totals stay far below 2^53, so float accumulation is exact
-        buckets += np.bincount(idx, weights=tab.values.astype(np.float64), minlength=q).astype(
-            np.int64
-        )
-        start += length
-    return buckets
+    # Segments are whole multiples of q, so every segment starts at n = 1 mod q
+    # and column c of each segment holds n = 1 + c mod q.  Each segment's tau
+    # is a temporary, freed before the next one is sieved.
+    seg = q * max(1, min(_SEGMENT, memory_budget // 4) // q)
+    cols = np.zeros(q, dtype=np.int64)
+    for start in range(1, X + 1, seg):
+        cols += _column_sums(sieve_tau(start, min(seg, X - start + 1), memory_budget).values, q)
+    return np.roll(cols, 1)
 
 
 def _progressions_hyperbola(X: int, q: int) -> np.ndarray:
+    # Every partial bucket sum is an integer no larger than sum_{n<=X} tau(n)
+    # < X (log X + 1) < 2^45 for X < _WINDOW_CAP = 2^40, so float64 (exact
+    # to 2^53) adds the bincount weights without rounding.
     r = np.arange(q, dtype=np.int64)
     buckets = np.zeros(q, dtype=np.float64)
     D = math.isqrt(X)
@@ -135,9 +143,16 @@ def divisor_sum_progressions(
         raise InvalidRange(f"need X >= 1, got {X}")
     if q < 1 or q > X:
         raise InvalidRange(f"need 1 <= q <= X, got q = {q}, X = {X}")
+    if X >= _WINDOW_CAP:
+        raise InvalidRange(f"need X < {_WINDOW_CAP}, got {X}")
     if method == "auto":
-        # hyperbola does isqrt(X)*q bucket updates, naive about X*log X
-        method = "hyperbola" if math.isqrt(X) * q <= 24 * X else "naive"
+        # Fitted costs: hyperbola makes isqrt(X) passes over q buckets at about
+        # 1.2e-8 s per bucket plus a fixed 700 buckets' worth per pass; naive
+        # costs about 2x that per sieved entry (1.3x at X = 1e5, 3x at 3e7, as
+        # the sieve's per-divisor loop grows with isqrt(X)).  On 2 cores with
+        # numpy 2.4 this picks the faster route on every rung q ~ X^(2/3) and
+        # on (1e7, 463), where hyperbola wins about 10x.
+        method = "hyperbola" if math.isqrt(X) * (q + 700) <= 2 * X else "naive"
     if method == "naive":
         sums = _progressions_naive(X, q, memory_budget)
     elif method == "hyperbola":

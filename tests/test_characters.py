@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from divprog import characters
 from divprog.characters import (
     CharacterTable,
     character_table,
@@ -152,6 +153,17 @@ def test_congruence_histogram_route_for_large_boxes():
     for v in xs:
         np.add.at(h_small, v * xs % p, 1)
     assert fast == int(np.dot(h_big, h_small))
+
+
+def test_congruence_histogram_route_matches_pair_route(monkeypatch):
+    boxes = [((3, 40), (17, 90)), ((1, 250), (5, 61)), ((200, 260), (1000, 1100))]
+    for p in (3, 101, 1009):
+        pair = [characters._product_histogram(p, b1, b2) for b1, b2 in boxes]
+        monkeypatch.setattr(characters, "_BRUTE_CAP", 0)
+        hist = [characters._product_histogram(p, b1, b2) for b1, b2 in boxes]
+        monkeypatch.undo()
+        for h1, h2 in zip(pair, hist):
+            assert np.array_equal(h1, h2), p
 
 
 def test_congruence_validation():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from divprog.arith import euler_phi, ramanujan_sum
+from divprog.arith import divisors, euler_phi, ramanujan_sum
 from divprog.errors import InvalidRange, NonReducedResidue, NotPrime
 from divprog.mainterm import (
     EULER_GAMMA,
@@ -71,6 +71,18 @@ def test_main_term_vector_matches_scalar():
         vec = main_term_vector(X, q)
         for a in range(q):
             assert abs(vec[a] - main_term(X, q, a)) < 1e-9, (X, q, a)
+    # highly composite q: the vector is built per gcd class, so sample one
+    # random residue a from every class gcd(a, q) = g, g | q
+    X, q = 10**6, 720720
+    vec = main_term_vector(X, q)
+    rng = np.random.default_rng(5)
+    for g in divisors(q):
+        u = int(rng.integers(1, q // g + 1))
+        while math.gcd(u, q // g) != 1:
+            u += 1
+        a = g * u % q
+        assert math.gcd(a, q) == g
+        assert abs(vec[a] - main_term(X, q, a)) < 1e-9, (X, q, a)
 
 
 def test_error_record_is_definitional():

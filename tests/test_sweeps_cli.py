@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from divprog import cli
 from divprog.cli import main
 from divprog.errors import ConfigInvalid
 from divprog.kloosterman import kloosterman
@@ -260,6 +261,17 @@ def test_cli_tau_all_and_single(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["S"] == vec[4]
+
+
+def test_cli_tau_row_sum_check_raises(tmp_path, monkeypatch):
+    def broken(X, q):
+        vec = divisor_sum_progressions(X, q)
+        vec.sums[0] += 1
+        return vec
+
+    monkeypatch.setattr(cli, "divisor_sum_progressions", broken)
+    with pytest.raises(RuntimeError, match="internal check failed"):
+        main(["--out-dir", str(tmp_path), "tau", "--x", "500", "--q", "9"])
 
 
 def test_cli_errors_set_file(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divprog.arith import tau_of
+from divprog import tausieve
 from divprog.errors import InvalidRange, WindowTooLarge
 from divprog.tausieve import (
     divisor_sum_progressions,
@@ -104,3 +107,44 @@ def test_q_equals_one_collapses_to_total():
     for X in (1, 7, 500, 12345):
         vec = divisor_sum_progressions(X, 1)
         assert vec[0] == total_divisor_sum(X)
+
+
+def _assert_routes_agree(X, q):
+    auto = divisor_sum_progressions(X, q).sums
+    naive = divisor_sum_progressions(X, q, method="naive").sums
+    hyper = divisor_sum_progressions(X, q, method="hyperbola").sums
+    assert np.array_equal(auto, naive), (X, q)
+    assert np.array_equal(naive, hyper), (X, q)
+    assert int(naive.sum()) == total_divisor_sum(X), (X, q)
+
+
+def test_routes_agree_across_auto_boundary():
+    # auto switches to naive once isqrt(X) * (q + 700) > 2 X; check the q on
+    # either side of that switch, so the route choice cannot change a result
+    for X in (10**6, 3 * 10**6 + 17):
+        q_switch = 2 * X // math.isqrt(X) - 700  # largest q that takes hyperbola
+        for q in (q_switch - 1, q_switch, q_switch + 1, q_switch + 2):
+            _assert_routes_agree(X, q)
+
+
+def test_naive_segment_edges(monkeypatch):
+    # a 64-entry target segment puts every edge case within a small X
+    monkeypatch.setattr(tausieve, "_SEGMENT", 64)
+    for q in (1, 2, 7, 64, 65, 100):  # 65 and 100: q larger than the segment
+        seg = q * max(1, 64 // q)
+        for k in (1, 2, 5):
+            for X in (k * seg - 1, k * seg, k * seg + 1):
+                if q <= X:
+                    _assert_routes_agree(X, q)
+    for X in (1, 2, 63, 64, 65, 129, 1000):
+        _assert_routes_agree(X, 1)
+        _assert_routes_agree(X, X)
+
+
+def test_progressions_reject_x_at_window_cap():
+    cap = 2**40
+    for method in ("auto", "naive", "hyperbola"):
+        with pytest.raises(InvalidRange):
+            divisor_sum_progressions(cap, 7, method=method)
+        with pytest.raises(InvalidRange):
+            divisor_sum_progressions(cap + 12345, cap, method=method)
