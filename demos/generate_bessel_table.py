@@ -1,19 +1,23 @@
-"""Regenerate the Chebyshev table used by divprog.bessel for Y0 on [8, 17].
+"""Regenerate a Chebyshev table used by divprog.bessel for Y0 or Y1 on [8, 17].
 
-The ascending series for Y0 loses digits to cancellation past x ~ 8 and
+The ascending series for Y_nu loses digits to cancellation past x ~ 8 and
 the large-argument expansion only reaches full double accuracy past
-x ~ 17, so the window between is served by one Chebyshev interpolant.
-This script rebuilds its coefficients with mpmath at 40-digit working
-precision and prints them ready to paste into bessel.py.  Run it only
-when changing the window or the degree; the committed table is frozen.
+x ~ 17, so the window between is served by one Chebyshev interpolant per
+order.  This script rebuilds its coefficients with mpmath at 40-digit
+working precision and prints the leading TERMS of them, ready to paste
+into bessel.py.  Run it only when changing the window or the degree; the
+committed tables are frozen.
 
-Usage: python demos/generate_bessel_table.py
+Usage: python demos/generate_bessel_table.py [ORDER]    (ORDER 0 or 1, default 0)
 """
+
+import sys
 
 import mpmath as mp
 
 LO, HI = 8.0, 17.0
 DEGREE = 48
+TERMS = 32  # every dropped coefficient is below 1e-24 for both orders
 
 mp.mp.dps = 40
 
@@ -31,14 +35,18 @@ def cheb_coeffs(f, lo, hi, n):
 
 
 def main():
-    coeffs = cheb_coeffs(lambda x: mp.bessely(0, x), LO, HI, DEGREE)
-    # report the drop-off so the committed degree is visibly sufficient
-    print(f"# Y0 Chebyshev on [{LO}, {HI}], degree {DEGREE}")
-    print(f"# last three magnitudes: {[mp.nstr(abs(c), 3) for c in coeffs[-3:]]}")
-    print("_Y0_MID_LO = %.1f" % LO)
-    print("_Y0_MID_HI = %.1f" % HI)
-    print("_Y0_MID_COEFFS = np.array([")
-    for c in coeffs:
+    order = int(sys.argv[1]) if len(sys.argv) > 1 else 0
+    if order not in (0, 1):
+        raise SystemExit("ORDER must be 0 or 1")
+    coeffs = cheb_coeffs(lambda x: mp.bessely(order, x), LO, HI, DEGREE)
+    # report the drop-off so the committed length is visibly sufficient
+    print(f"# Y{order} Chebyshev on [{LO}, {HI}], degree {DEGREE}, leading {TERMS} kept")
+    print(f"# largest dropped magnitude: {mp.nstr(max(abs(c) for c in coeffs[TERMS:]), 3)}")
+    if order == 0:
+        print("_Y_MID_LO = %.1f" % LO)
+        print("_Y_MID_HI = %.1f" % HI)
+    print(f"_Y{order}_MID_COEFFS = np.array([")
+    for c in coeffs[:TERMS]:
         print(f"    {mp.nstr(c, 20, strip_zeros=False)},")
     print("])")
 

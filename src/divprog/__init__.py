@@ -19,7 +19,7 @@ from .arith import (
     ramanujan_sum,
     tau_of,
 )
-from .bessel import bessel_k0, bessel_y0, y0_envelope
+from .bessel import EULER_GAMMA, bessel_k0, bessel_k1, bessel_y0, bessel_y1, y0_envelope
 from .bilinear import (
     BilinearInstance,
     ExponentFit,
@@ -64,7 +64,6 @@ from .kloosterman import (
     kloosterman_table,
 )
 from .mainterm import (
-    EULER_GAMMA,
     AveragedErrors,
     ErrorTermRecord,
     ErrorVector,
@@ -107,7 +106,6 @@ from .tausieve import (
 )
 from .voronoi import (
     VoronoiErrorTerm,
-    VoronoiWeights,
     WeightValue,
     error_budget,
     truncation_thresholds,

@@ -5,8 +5,11 @@ go to CSV files under --out-dir, single-object results go to stdout as
 JSON.  Exit codes: 0 success, 2 for configuration or usage problems,
 3 when a sweep's configured envelope threshold is breached (CI gating).
 
---threads is accepted for interface stability and recorded in report
-headers; computation is vectorized and the flag does not fan out work.
+--threads is accepted for interface stability and has no effect:
+computation is vectorized in one thread, and reports do not record it
+(their only header line is '# seed=').  voronoi-check warns on stderr,
+one line per divisor block, when weight quadratures did not converge;
+its report is the same either way.
 """
 
 from __future__ import annotations
@@ -168,6 +171,10 @@ def _cmd_voronoi_check(args) -> int:
         residues = sorted({int(t) % q for t in args.a.split(",")})
     vec = error_vector(args.x, q)
     results = voronoi_error_terms(args.x, q, residues, args.y, eps=args.eps)
+    for entry in results[0].truncation_report if results else ():
+        if entry.n_flagged:
+            print(f"divprog: voronoi-check: d={entry.d}: {entry.n_flagged} of "
+                  f"{2 * entry.n_terms} weights did not converge", file=sys.stderr)
     rows = []
     for r in results:
         exact = float(vec.R[r.a])

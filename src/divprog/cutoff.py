@@ -10,7 +10,9 @@ with max |sigma'| just under 2.
 SmoothCutoff(X, Y) is the window used in the divisor-sum transform:
 identically 1 on [2Y, X], identically 0 outside (Y, X+Y), transitions of
 width Y on both sides, so |w'| <= C1/Y with C1 about 2 (measured; the
-contract only needs C1 <= 4).
+contract only needs C1 <= 4).  Its derivative, from
+sigma' = sigma (1 - sigma) (1/t^2 + 1/(1-t)^2), vanishes off the two
+transitions.
 
 SmoothPartition(L) is the dyadic family Psi_l(x) = s(x/2^(l-1)) - s(x/2^l)
 for l = 0..L, where s(t) = sigma(t - 1) rises from 0 at t = 1 to 1 at
@@ -30,16 +32,23 @@ from .errors import InvalidRange
 def smoothstep(t) -> np.ndarray | float:
     """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
     arr = np.asarray(t, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-    out[arr >= 1.0] = 1.0
-    mid = (arr > 0.0) & (arr < 1.0)
-    tm = arr[mid]
+    out, _ = _step_and_slope(np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def _step_and_slope(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """smoothstep(t) and its derivative for a 1-d array t."""
+    step = np.zeros_like(t)
+    slope = np.zeros_like(t)
+    step[t >= 1.0] = 1.0
+    mid = (t > 0.0) & (t < 1.0)
+    tm = t[mid]
     a = np.exp(-1.0 / tm)
     b = np.exp(-1.0 / (1.0 - tm))
-    out[mid] = a / (a + b)
-    return float(out[0]) if scalar else out
+    s = a / (a + b)
+    step[mid] = s
+    slope[mid] = s * (1.0 - s) * (1.0 / (tm * tm) + 1.0 / ((1.0 - tm) * (1.0 - tm)))
+    return step, slope
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,13 @@ class SmoothCutoff:
         rising = smoothstep((arr - self.Y) / self.Y)
         falling = smoothstep((self.X + self.Y - arr) / self.Y)
         return rising * falling
+
+    def derivative(self, x) -> np.ndarray:
+        """w'(x) for an array x; zero off the transitions (Y, 2Y) and (X, X+Y)."""
+        arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        rise, rise_slope = _step_and_slope((arr - self.Y) / self.Y)
+        fall, fall_slope = _step_and_slope((self.X + self.Y - arr) / self.Y)
+        return (rise_slope * fall - rise * fall_slope) / self.Y
 
     @property
     def support(self) -> tuple[float, float]:

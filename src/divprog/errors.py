@@ -43,7 +43,7 @@ class InsufficientSpread(ValueError):
 
 
 class SupportTooLarge(ValueError):
-    """Test-function support would force an unreasonable lattice enumeration."""
+    """A support would force an unreasonable lattice enumeration or quadrature."""
 
 
 class ConfigInvalid(ValueError):

@@ -32,10 +32,9 @@ from typing import Iterable
 import numpy as np
 
 from .arith import divisors, euler_phi, factorize, is_prime, mobius, ramanujan_sum
+from .bessel import EULER_GAMMA
 from .errors import InvalidRange, NonReducedResidue, NotPrime
 from .tausieve import divisor_sum_progressions, progression_sum_single
-
-EULER_GAMMA = 0.57721566490153286061
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,13 @@ def _format_value(v: Any) -> str:
     return str(v)
 
 
+def _csv_field(text: str) -> str:
+    """Minimal RFC 4180 quoting: only fields holding a comma, quote or line break."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit_report(rows: list[dict], fmt: str, path: str | Path, seed: int | None = None) -> str:
     """Write rows deterministically; returns the path written."""
     path = Path(path)
@@ -246,9 +253,9 @@ def emit_report(rows: list[dict], fmt: str, path: str | Path, seed: int | None =
             lines.append(f"# seed={seed}")
         if rows:
             keys = list(rows[0].keys())
-            lines.append(",".join(keys))
+            lines.append(",".join(_csv_field(k) for k in keys))
             for row in rows:
-                lines.append(",".join(_format_value(row[k]) for k in keys))
+                lines.append(",".join(_csv_field(_format_value(row[k])) for k in keys))
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
         doc: dict[str, Any] = {"rows": rows}

@@ -18,12 +18,28 @@ up to a truncation error of order (Y/q + 1) (Yq)^eps.  The thresholds
 separate the flat regime (|u| of order X/d for n <= U), the decay regime
 (|u| of order X^(1/4) d^(1/2) n^(-3/4) up to V), and the negligible tail.
 
-Quadrature: the integrand oscillates through the kernel's zeros, so each
-weight integral is split at the (asymptotically located) zeros plus the
-cutoff's two transition regions, with Gauss-Legendre inside each panel.
-The 16-point and 24-point values give the error estimate; one uniform
-refinement is attempted before flagging.  Convergence problems are
-reported on the returned value, never raised.
+Weights: with c = 4 pi sqrt(n)/d, DLMF 10.6.6 and 10.29.4 give
+d/dx[sqrt(x) Y1(c sqrt(x))] = (c/2) Y0(c sqrt(x)) and
+d/dx[sqrt(x) K1(c sqrt(x))] = -(c/2) K0(c sqrt(x)), and w vanishes at
+both ends of its support, so
+
+    int w Y0(c sqrt x) dx = -(2/c) int w'(x) sqrt(x) Y1(c sqrt x) dx,
+    int w K0(c sqrt x) dx =  (2/c) int w'(x) sqrt(x) K1(c sqrt x) dx.
+
+w' is zero on the plateau [2Y, X], so only the two transitions [Y, 2Y]
+and [X, X+Y] are integrated.  Each is cut into six windows of width Y/6,
+and each window into equal steps of z = c sqrt(x) no wider than one
+phase interval pi (Y1) or two e-foldings (K1; nothing past z = 50), with
+Gauss-Legendre inside each panel.  All weights of one (d, sign) are
+evaluated together, in blocks of nodes.  The 16-point and 24-point values
+give the error estimate; the weights above target get one uniform
+refinement before they are flagged.  Convergence problems are reported
+on the returned value, never raised.
+
+The n-sum is folded per divisor: with W^+-[r] = sum_{n = r (d)} tau(n)
+u_d^+-(n), the block is sum_{x unit} T(x) e_d(a xbar), where
+T(x) = sum_r W^+[r] e_d(-rx) + W^-[r] e_d(rx); two length-d DFTs give T
+and one more gives every a at once.
 """
 
 from __future__ import annotations
@@ -35,14 +51,18 @@ from functools import lru_cache
 import numpy as np
 
 from .cutoff import SmoothCutoff
-from .bessel import bessel_k0, bessel_y0
-from .errors import InvalidRange, NonReducedResidue
+from .bessel import bessel_k1, bessel_y1
+from .errors import InvalidRange, NonReducedResidue, SupportTooLarge
 from .arith import divisors
 from .kloosterman import _evaluator
 from .tausieve import sieve_tau
 
-_K0_ARG_CUT = 50.0  # kernel below exp(-50); beyond this the integrand is dead
-_MAX_PANELS = 4000
+_K_ARG_CUT = 50.0  # K1 below exp(-50); beyond this the integrand is dead
+_MAX_PANELS = 4000  # per weight
+_WINDOWS = 6  # per transition
+_BLOCK_PANELS = 4096  # panels built at once
+_BLOCK_NODES = 2048  # kernel evaluations per block; bounds the K1 trapezoid temporaries
+_TARGET = 1e-8
 
 
 def truncation_thresholds(d: int, X: float, Y: float, eps: float = 0.05) -> tuple[float, float]:
@@ -56,121 +76,158 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _gl_integrate(f, edges: np.ndarray, order: int) -> float:
-    nodes, weights = _gl_rule(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    xs = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = f(xs.ravel()).reshape(xs.shape)
-    return float(np.sum(half * (vals * weights[None, :]).sum(axis=1)))
+@dataclass(frozen=True)
+class _Panels:
+    """Quadrature panels [lo, hi] of the weights indexed by owner."""
+
+    owner: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def refined(self, keep: np.ndarray) -> "_Panels":
+        """The panels of the weights in `keep`, each split at its midpoint."""
+        sel = keep[self.owner]
+        owner, lo, hi = self.owner[sel], self.lo[sel], self.hi[sel]
+        mid = 0.5 * (lo + hi)
+        return _Panels(np.repeat(owner, 2), np.column_stack([lo, mid]).ravel(),
+                       np.column_stack([mid, hi]).ravel())
 
 
-def _panel_edges(cutoff: SmoothCutoff, c: float, oscillatory: bool) -> np.ndarray | None:
-    """Split [Y, X+Y] at cutoff transitions and kernel phase steps.
+def _windows(cutoff: SmoothCutoff, c: np.ndarray,
+             oscillatory: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sqrt of each window's ends, and its panel count; shape (windows, len(c)).
 
-    The kernel argument is z = c sqrt(x).  For Y0 a panel spans at most
-    one phase interval of pi (one half-oscillation); for K0 at most two
-    e-foldings of decay, truncated entirely once z > 50.
+    Each transition is cut into _WINDOWS windows, and a window for scale c
+    into as few equal steps of z = c sqrt(x) as keep each within `step`.
     """
     Y, X = cutoff.Y, cutoff.X
-    lo, hi = Y, X + Y
+    width = Y / _WINDOWS
+    k = np.arange(_WINDOWS)
+    starts = np.concatenate([Y + k * width, X + k * width])
+    lo = np.broadcast_to(starts[:, None], (starts.size, len(c)))
+    hi = lo + width
     if not oscillatory:
-        xcut = (_K0_ARG_CUT / c) ** 2
-        if xcut <= lo:
-            return None
-        hi = min(hi, xcut)
-    pts = [lo, hi]
-    for k in range(1, 6):
-        t = Y + k * Y / 6.0
-        if lo < t < hi:
-            pts.append(t)
-        t = X + k * Y / 6.0
-        if lo < t < hi:
-            pts.append(t)
-    if lo < X < hi:
-        pts.append(X)
-    if lo < 2.0 * Y < hi:
-        pts.append(2.0 * Y)
-    z0, z1 = c * math.sqrt(lo), c * math.sqrt(hi)
+        hi = np.minimum(hi, (_K_ARG_CUT / c) ** 2)
+    root_lo, root_hi = np.sqrt(lo), np.sqrt(np.maximum(hi, lo))
     step = math.pi if oscillatory else 2.0
-    n_steps = int((z1 - z0) / step)
-    if n_steps > _MAX_PANELS:
-        # coarser than a half-oscillation per panel would be garbage
-        raise InvalidRange(f"weight quadrature needs {n_steps} panels; instance too extreme")
-    for j in range(1, n_steps + 1):
-        z = z0 + j * step
-        if z < z1:
-            pts.append((z / c) ** 2)
-    edges = np.unique(np.asarray(pts, dtype=np.float64))
-    return edges
+    counts = np.ceil(c * (root_hi - root_lo) / step).astype(np.int64)
+    per_weight = counts.sum(axis=0)
+    if per_weight.size and per_weight.max() > _MAX_PANELS:
+        raise SupportTooLarge(
+            f"weight quadrature needs {per_weight.max()} panels, over the cap of {_MAX_PANELS}"
+        )
+    return root_lo, root_hi, counts
 
 
-def _refine(edges: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    return np.sort(np.concatenate([edges, mids]))
+def _groups(per_weight: np.ndarray) -> list[slice]:
+    """Runs of consecutive weights holding about _BLOCK_PANELS panels each."""
+    first = np.cumsum(per_weight) - per_weight
+    cuts = (np.flatnonzero(np.diff(first // _BLOCK_PANELS)) + 1).tolist()
+    bounds = [0, *cuts, per_weight.size]
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _panels(root_lo: np.ndarray, root_hi: np.ndarray, counts: np.ndarray) -> _Panels:
+    """The panels of the windows from _windows, window by window.
+
+    In that order a block of consecutive panels holds similar kernel
+    arguments (the Hankel expansion's term count follows its argument).
+    """
+    n_weights = counts.shape[1]
+    counts = counts.ravel()
+    cell = np.repeat(np.arange(counts.size), counts)  # (window, weight) of each panel
+    j = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # equal steps in sqrt(x) are equal steps of the kernel argument
+    r0 = root_lo.ravel()[cell]
+    dr = ((root_hi - root_lo).ravel() / np.maximum(counts, 1))[cell]
+    return _Panels(cell % n_weights, (r0 + j * dr) ** 2, (r0 + (j + 1) * dr) ** 2)
+
+
+def _integrate(panels: _Panels, c: np.ndarray, kernel, cutoff: SmoothCutoff,
+               order: int) -> np.ndarray:
+    """int w'(x) sqrt(x) kernel(c sqrt(x)) dx per weight, over its panels."""
+    nodes, weights = _gl_rule(order)
+    out = np.zeros(len(c))
+    step = max(1, _BLOCK_NODES // order)
+    for s in range(0, panels.owner.size, step):
+        owner = panels.owner[s:s + step]
+        lo, hi = panels.lo[s:s + step], panels.hi[s:s + step]
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes[None, :]
+        root = np.sqrt(x)
+        z = (c[owner][:, None] * root).ravel()
+        f = cutoff.derivative(x.ravel()) * root.ravel() * kernel(z)
+        out += np.bincount(owner, weights=half * (f.reshape(x.shape) @ weights), minlength=len(c))
+    return out
+
+
+def _estimate(panels: _Panels, c: np.ndarray, by_parts: np.ndarray, kernel,
+              cutoff: SmoothCutoff, scale: float, target: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Integrals, error estimates and panels used, for the weights of `panels`.
+
+    The 24-point values are checked against the 16-point ones; weights
+    above target are refined once and checked against their first value.
+    """
+    coarse = by_parts * _integrate(panels, c, kernel, cutoff, 16)
+    fine = by_parts * _integrate(panels, c, kernel, cutoff, 24)
+    err = np.abs(fine - coarse) / np.maximum(np.abs(fine), scale)
+    redo = err > target
+    used = panels.owner.size
+    if redo.any():
+        panels = panels.refined(redo)
+        used += panels.owner.size // 2
+        refined = by_parts * _integrate(panels, c, kernel, cutoff, 24)
+        err[redo] = (np.abs(refined - fine) / np.maximum(np.abs(refined), scale))[redo]
+        fine[redo] = refined[redo]
+    return fine, err, used
 
 
 @dataclass(frozen=True)
 class WeightValue:
-    value: float
-    error_estimate: float  # relative, against the value or the regime scale
+    """One weight, or one array of weights when weight_u is given an array n.
+
+    value and error_estimate follow n; converged (all of them) and panels
+    (the total) stay scalar.
+    """
+
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray  # relative, against the value or the regime scale
     converged: bool
     panels: int
 
 
-def weight_u(d: int, n: int, sign: int, cutoff: SmoothCutoff, target: float = 1e-8) -> WeightValue:
-    """u_d^+(n) for sign=+1, u_d^-(n) for sign=-1."""
-    if n < 1:
-        raise InvalidRange(f"need n >= 1, got {n}")
+def weight_u(d: int, n, sign: int, cutoff: SmoothCutoff, target: float = _TARGET) -> WeightValue:
+    """u_d^+(n) for sign=+1, u_d^-(n) for sign=-1; n an int or an int array."""
+    n_arr = np.atleast_1d(np.asarray(n, dtype=np.int64))
+    if n_arr.size and n_arr.min() < 1:
+        raise InvalidRange(f"need n >= 1, got {n_arr.min()}")
     if sign not in (+1, -1):
         raise InvalidRange(f"sign must be +1 or -1, got {sign}")
-    c = 4.0 * math.pi * math.sqrt(n) / d
+    c = 4.0 * math.pi * np.sqrt(n_arr.astype(np.float64)) / d
     if sign > 0:
-        kernel, prefactor = bessel_k0, 4.0 / d
+        kernel, prefactor = bessel_k1, 4.0 / d
+        by_parts = 2.0 / c  # int w K0 = (2/c) int w' sqrt(x) K1
     else:
-        kernel, prefactor = bessel_y0, -2.0 * math.pi / d
-    edges = _panel_edges(cutoff, c, oscillatory=sign < 0)
-    if edges is None:
-        return WeightValue(value=0.0, error_estimate=0.0, converged=True, panels=0)
-
-    def integrand(x):
-        return np.asarray(cutoff(x)) * np.asarray(kernel(c * np.sqrt(x)))
-
+        kernel, prefactor = bessel_y1, -2.0 * math.pi / d
+        by_parts = -2.0 / c  # int w Y0 = -(2/c) int w' sqrt(x) Y1
+    root_lo, root_hi, counts = _windows(cutoff, c, oscillatory=sign < 0)
     scale = 1e-10 * cutoff.X / d  # floor: 1e-10 of the flat-regime magnitude
-    coarse = _gl_integrate(integrand, edges, 16)
-    fine = _gl_integrate(integrand, edges, 24)
-    err = abs(fine - coarse) / max(abs(fine), scale)
-    if err > target:
-        edges = _refine(edges)
-        coarse = fine
-        fine = _gl_integrate(integrand, edges, 24)
-        err = abs(fine - coarse) / max(abs(fine), scale)
+    fine = np.zeros(len(c))
+    err = np.zeros(len(c))
+    n_panels = 0
+    for g in _groups(counts.sum(axis=0)):
+        panels = _panels(root_lo[:, g], root_hi[:, g], counts[:, g])
+        fine[g], err[g], used = _estimate(panels, c[g], by_parts[g], kernel, cutoff, scale, target)
+        n_panels += used
+    value = prefactor * fine
+    if np.ndim(n) == 0:
+        value, err = float(value[0]), float(err[0])
     return WeightValue(
-        value=prefactor * fine,
+        value=value,
         error_estimate=err,
-        converged=bool(err <= target),
-        panels=len(edges) - 1,
+        converged=bool(np.all(err <= target)),
+        panels=int(n_panels),
     )
-
-
-class VoronoiWeights:
-    """Cached u_d^{+/-}(n) for one modulus and cutoff."""
-
-    def __init__(self, d: int, cutoff: SmoothCutoff, eps: float = 0.05):
-        self.d = d
-        self.cutoff = cutoff
-        self.eps = eps
-        self._cache: dict[tuple[int, int], WeightValue] = {}
-
-    @property
-    def thresholds(self) -> tuple[float, float]:
-        return truncation_thresholds(self.d, self.cutoff.X, self.cutoff.Y, self.eps)
-
-    def u(self, n: int, sign: int) -> WeightValue:
-        key = (n, sign)
-        if key not in self._cache:
-            self._cache[key] = weight_u(self.d, n, sign, self.cutoff)
-        return self._cache[key]
 
 
 @dataclass(frozen=True)
@@ -198,6 +255,17 @@ def error_budget(q: int, Y: float, exponent: float = 0.1) -> float:
     return (Y / q + 1.0) * (Y * q) ** exponent
 
 
+def _fold(d: int, W_plus: np.ndarray, W_minus: np.ndarray, a_arr: np.ndarray) -> np.ndarray:
+    """sum_r W^+[r] K_d(-r, a) + W^-[r] K_d(r, a) for each a, by three DFTs."""
+    if d == 1:
+        return np.full(len(a_arr), W_plus[0] + W_minus[0])  # K_1 = 1
+    ev = _evaluator(d)
+    T = np.fft.fft(W_plus) + d * np.fft.ifft(W_minus)
+    G = np.zeros(d, dtype=np.complex128)
+    G[ev.inverses] = T[ev.units]
+    return (d * np.fft.ifft(G)).real[a_arr]
+
+
 def voronoi_error_terms(
     X: int,
     q: int,
@@ -211,6 +279,7 @@ def voronoi_error_terms(
         if math.gcd(a, q) != 1:
             raise NonReducedResidue(f"{a} shares a factor with {q}")
     cutoff = SmoothCutoff(X=float(X), Y=float(Y))
+    a_arr = np.asarray(a_list, dtype=np.int64)
     totals = np.zeros(len(a_list))
     report: list[TruncationEntry] = []
     for d in divisors(q):
@@ -219,17 +288,15 @@ def voronoi_error_terms(
         if nmax < 1:
             report.append(TruncationEntry(d=d, V=V, n_terms=0, n_flagged=0))
             continue
-        tau = sieve_tau(1, nmax).values
-        weights = VoronoiWeights(d, cutoff, eps)
-        ev = _evaluator(d)
-        flagged = 0
-        for n in range(1, nmax + 1):
-            up = weights.u(n, +1)
-            um = weights.u(n, -1)
-            flagged += (not up.converged) + (not um.converged)
-            K_plus = ev.batch_over_a(-n, a_list)  # pairs with u^+
-            K_minus = ev.batch_over_a(n, a_list)  # pairs with u^-
-            totals += float(tau[n - 1]) * (up.value * K_plus + um.value * K_minus)
+        n = np.arange(1, nmax + 1, dtype=np.int64)
+        tau = sieve_tau(1, nmax).values.astype(np.float64)
+        up = weight_u(d, n, +1, cutoff)
+        um = weight_u(d, n, -1, cutoff)
+        flagged = int(np.count_nonzero(up.error_estimate > _TARGET)
+                      + np.count_nonzero(um.error_estimate > _TARGET))
+        W_plus = np.bincount(n % d, weights=tau * up.value, minlength=d)
+        W_minus = np.bincount(n % d, weights=tau * um.value, minlength=d)
+        totals += _fold(d, W_plus, W_minus, a_arr % d)
         report.append(TruncationEntry(d=d, V=V, n_terms=nmax, n_flagged=flagged))
     budget = error_budget(q, Y)
     rep = tuple(report)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from divprog.bessel import bessel_k0, bessel_y0, y0_envelope
+from divprog.bessel import bessel_k0, bessel_k1, bessel_y0, bessel_y1, y0_envelope
 
 mpmath.mp.dps = 30
 
@@ -95,3 +95,65 @@ def test_domain_validation():
 def test_y0_envelope_formula():
     for x in (1.0, 10.0, 123.0):
         assert math.isclose(y0_envelope(x), math.sqrt(2 / (math.pi * x)), rel_tol=1e-14)
+
+
+# ------------------------------------------------------ K1, Y1 (by-parts kernels)
+
+def test_order_one_spot_values():
+    assert abs(bessel_k1(1.0) - 0.60190723019723457) < 1e-15
+    assert abs(bessel_y1(1.0) - -0.78121282130028872) < 1e-15
+
+
+def test_k1_against_mpmath_sweep():
+    xs = np.concatenate([
+        np.linspace(0.01, 1.99, 40),
+        np.linspace(2.0, 8.0, 40),       # integral route
+        np.linspace(8.0, 120.0, 60),
+        np.linspace(120.0, 699.0, 30),
+    ])
+    for x in xs:
+        want = float(mpmath.besselk(1, mpmath.mpf(float(x))))
+        got = bessel_k1(float(x))
+        assert abs(got - want) <= 5e-13 * abs(want), x
+    assert bessel_k1(701.0) == 0.0
+
+
+def test_y1_against_mpmath_envelope_relative():
+    xs = np.concatenate([
+        np.linspace(0.01, 7.99, 60),
+        np.linspace(8.0, 17.0, 60),      # Chebyshev route
+        np.linspace(17.0, 400.0, 80),
+        np.linspace(400.0, 5000.0, 40),
+    ])
+    for x in xs:
+        want = float(mpmath.bessely(1, mpmath.mpf(float(x))))
+        got = bessel_y1(float(x))
+        env = max(float(y0_envelope(max(x, 1e-3))), abs(want))
+        assert abs(got - want) <= 5e-13 * env, x
+
+
+def test_order_one_against_scipy_as_second_oracle():
+    xs = np.geomspace(0.05, 500, 200)
+    assert np.allclose(bessel_k1(xs), sp.k1(xs), rtol=1e-11, atol=1e-300)
+    env = np.sqrt(2 / (np.pi * xs))
+    assert np.max(np.abs(bessel_y1(xs) - sp.y1(xs)) / np.maximum(env, np.abs(sp.y1(xs)))) < 1e-11
+
+
+def test_order_one_route_switchovers_are_continuous():
+    assert abs(bessel_k1(2.0 + 1e-9) - bessel_k1(2.0 - 1e-9)) < 1e-8
+    for cut in (8.0, 17.0):
+        assert abs(bessel_y1(cut + 1e-9) - bessel_y1(cut - 1e-9)) < 1e-8, cut
+
+
+def test_order_one_vectorized_matches_scalar():
+    xs = np.array([0.5, 3.0, 9.0, 25.0, 650.0, 800.0])
+    kv = bessel_k1(xs)
+    yv = bessel_y1(xs)
+    for i, x in enumerate(xs):
+        assert kv[i] == bessel_k1(float(x))
+        assert yv[i] == bessel_y1(float(x))
+    assert isinstance(bessel_y1(1.5), float)
+    with pytest.raises(ValueError):
+        bessel_k1(0.0)
+    with pytest.raises(ValueError):
+        bessel_y1(np.array([1.0, -2.0]))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from divprog import cli
+from divprog import cli, voronoi
 from divprog.cli import main
 from divprog.errors import ConfigInvalid
 from divprog.kloosterman import kloosterman
@@ -179,6 +179,31 @@ def test_emit_report_byte_stable(tmp_path):
     emit_report(rows, "csv", p1, seed=9)
     emit_report(rows, "csv", p2, seed=9)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_emit_report_quotes_fields_with_commas_or_quotes(tmp_path):
+    rows = [{"set": "interval(0,40)", "note": 'say "hi"', "x": 1.5}]
+    path = tmp_path / "q.csv"
+    emit_report(rows, "csv", path)
+    assert path.read_text() == 'set,note,x\n"interval(0,40)","say ""hi""",1.5\n'
+    with open(path, newline="") as fh:
+        assert list(csv.reader(fh)) == [["set", "note", "x"], ["interval(0,40)", 'say "hi"', "1.5"]]
+
+
+def test_interval_sweep_report_reads_back_with_csv_reader(tmp_path):
+    doc = dict(BASE, x_grid=[2000, 3000], sets={"kind": "interval", "lengths": [8, 12], "offsets": [1, 5]})
+    res = run_theorem_sweep(ExperimentConfig.from_json(_write(tmp_path, doc)), tmp_path)
+    path = next(p for p in res.paths if str(p).endswith("sweep_interval_abs.csv"))
+    with open(path, newline="") as fh:
+        table = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+    header, body = table[0], table[1:]
+    assert len(body) == len(res.rows) == 8
+    for fields, row in zip(body, res.rows):
+        assert len(fields) == len(header)
+        got = dict(zip(header, fields))
+        assert got["set"] == row["set"]
+        assert got["set"].startswith("interval(") and "," in got["set"]
+        assert int(got["X"]) == row["X"] and float(got["D"]) == pytest.approx(row["D"], rel=1e-11)
 
 
 # ----------------------------------------------------------------- sweeps
@@ -370,6 +395,37 @@ def test_cli_voronoi_check(tmp_path, capsys):
     assert [int(r["a"]) for r in rows] == [1, 5]
     for r in rows:
         assert abs(float(r["residual"])) <= float(r["budget"])
+
+
+def test_cli_voronoi_check_warns_on_unconverged_weights(tmp_path, capsys, monkeypatch):
+    argv = ["voronoi-check", "--x", "2000", "--q", "12", "--y", "320", "--a", "1,5"]
+    assert main(["--out-dir", str(tmp_path / "plain")] + argv) == 0
+    assert capsys.readouterr().err == ""
+
+    real = voronoi.weight_u
+
+    def one_flagged(d, n, sign, cutoff, **kwargs):
+        w = real(d, n, sign, cutoff, **kwargs)
+        err = np.array(w.error_estimate, dtype=np.float64)
+        if d == 12 and sign < 0:
+            err[0] = 1.0
+        return voronoi.WeightValue(w.value, err, bool(np.all(err <= 1e-8)), w.panels)
+
+    monkeypatch.setattr(voronoi, "weight_u", one_flagged)
+    assert main(["--out-dir", str(tmp_path / "flagged")] + argv) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "d=12:" in err[0] and "1 of" in err[0]
+    name = "voronoi_x2000_q12.csv"
+    assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "flagged" / name).read_bytes()
+
+
+def test_cli_voronoi_check_panel_cap_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(voronoi, "_MAX_PANELS", 3)
+    rc = main(["--out-dir", str(tmp_path), "voronoi-check", "--x", "2000", "--q", "12",
+               "--y", "320", "--a", "1"])
+    assert rc == 2
+    assert "panels" in capsys.readouterr().err
 
 
 def test_cli_sweep_seed_override(tmp_path, capsys):

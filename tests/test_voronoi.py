@@ -1,10 +1,12 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
+import scipy.special as sp
 
 from divprog.cutoff import SmoothCutoff
-from divprog.errors import InvalidRange, NonReducedResidue
+from divprog.errors import InvalidRange, NonReducedResidue, SupportTooLarge
 from divprog.mainterm import error_vector
 from divprog.voronoi import (
     error_budget,
@@ -56,6 +58,66 @@ def test_weight_values_against_mpmath():
         scale = max(abs(want), 1e-10 * cutoff.X / d)
         assert abs(got.value - want) <= 1e-6 * scale, (d, n, sign, got.value, want)
         assert got.converged
+
+
+def _direct_weight(d, n, sign, cutoff, order=32):
+    """u_d^+-(n) from w K0 / w Y0 themselves: panel Gauss-Legendre over the
+    whole support, a quarter phase interval (or one e-folding) per panel,
+    24 windows per transition, K0 cut at argument 60."""
+    c = 4 * math.pi * math.sqrt(n) / d
+    X, Y = cutoff.X, cutoff.Y
+    lo, hi = cutoff.support
+    if sign > 0:
+        hi = min(hi, (60.0 / c) ** 2)
+        if hi <= lo:
+            return 0.0
+    step = math.pi / 4 if sign < 0 else 1.0
+    zs = np.arange(c * math.sqrt(lo), c * math.sqrt(hi), step)
+    splits = [(zs / c) ** 2, np.linspace(Y, 2 * Y, 25), np.linspace(X, X + Y, 25), [lo, hi]]
+    edges = np.unique(np.clip(np.concatenate(splits), lo, hi))
+    t, wts = np.polynomial.legendre.leggauss(order)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    x = mid[:, None] + half[:, None] * t[None, :]
+    kernel = sp.k0 if sign > 0 else sp.y0
+    vals = np.asarray(cutoff(x.ravel())).reshape(x.shape) * kernel(c * np.sqrt(x))
+    integral = float(np.sum(half * (vals @ wts)))
+    return (4.0 / d if sign > 0 else -2 * math.pi / d) * integral
+
+
+def test_by_parts_weights_against_direct_quadrature_at_bench_scale():
+    X, d = 1e6, 1009
+    Y = math.sqrt(d * X)
+    cutoff = SmoothCutoff(X=X, Y=Y)
+    U, V = truncation_thresholds(d, X, Y)
+    ns = np.array([1, 2, 3, 10, 57, 300, 1000, int(V)])
+    for sign in (+1, -1):
+        got = weight_u(d, ns, sign, cutoff)
+        assert got.converged and got.value.shape == ns.shape
+        for n, value in zip(ns, got.value):
+            regime = X / d if n <= U else X**0.25 * math.sqrt(d) * n**-0.75
+            want = _direct_weight(d, int(n), sign, cutoff)
+            assert abs(value - want) <= 1e-8 * regime, (n, sign, value, want)
+
+
+def test_weight_array_matches_scalar_calls():
+    cutoff = SmoothCutoff(X=2000.0, Y=300.0)
+    ns = np.array([1, 2, 7, 40])
+    for sign in (+1, -1):
+        batch = weight_u(20, ns, sign, cutoff)
+        singles = [weight_u(20, int(n), sign, cutoff) for n in ns]
+        assert isinstance(batch.converged, bool) and isinstance(batch.panels, int)
+        assert batch.panels == sum(w.panels for w in singles)
+        for i, w in enumerate(singles):
+            assert isinstance(w.value, float)
+            assert abs(batch.value[i] - w.value) <= 1e-13 * max(abs(w.value), 1.0)
+            assert abs(batch.error_estimate[i] - w.error_estimate) <= 1e-6
+
+
+def test_panel_cap_raises_support_too_large():
+    # z = 4 pi sqrt(n) sqrt(x) sweeps about 9000 phase intervals over [Y, 2Y]
+    with pytest.raises(SupportTooLarge) as info:
+        weight_u(1, 10**5, -1, SmoothCutoff(X=2000.0, Y=300.0))
+    assert not isinstance(info.value, InvalidRange)
 
 
 def test_weight_decay_past_truncation():
