@@ -8,6 +8,14 @@ root g of p, let ind(x) be the log of x base g, and set
 chi_0 is principal, chi_j * chi_k = chi_{j+k mod p-1}, and orthogonality
 (1/(p-1)) sum_j chi_j(a) = [a = 1 mod p] all come for free.
 
+The log table is built by baby-step/giant-step in O(sqrt p) Python
+steps: with m = ceil(sqrt(p-1)), the baby steps g^j (j < m) and the
+giant steps g^(mk) give every g^(mk+j) in one outer product mod p, in
+int64 (exact for p < 3e9, far beyond any table that fits in memory).
+Since ind is a bijection from the units onto 0..p-2, a histogram over
+the index group is a plain scatter hist[ind(x)] = count(x): every bin is
+written exactly once.
+
 The fourth moment
 
     sum_{chi != chi_0} | sum_{x=K}^{K+H} chi(x) |^4
@@ -23,7 +31,11 @@ The product-congruence count
       x1 x2 = x3 x4 mod p}
 
 is a dot product of two product-residue histograms, never the 4-fold
-loop except as a small-case oracle.  Its reference envelope is
+loop except as a small-case oracle.  For large boxes a product histogram
+is the cyclic convolution of two index histograms over Z/(p-1), computed
+as a linear convolution at the least power-of-two FFT length of at least
+2(p-1)-1 (p-1 may have a large prime factor, where a length-(p-1) FFT is
+slow), folded mod p-1 and rounded.  Its reference envelope is
 H1H2H3H4/p + sqrt(H1H2H3H4).
 
 Gauss sums follow the convention tau(chi) = sum_z conj(chi)(z) e_p(z),
@@ -59,11 +71,19 @@ class CharacterTable:
         if not is_prime(p) or p == 2:
             raise NotPrime(f"need an odd prime, got {p}")
         g = primitive_root(p)
+        # baby steps g^j (j < m) and giant steps g^(mk): g^(mk + j) is one
+        # outer product mod p, read row by row in order of the exponent
+        m = math.isqrt(p - 2) + 1
+        baby = [1]
+        for _ in range(m - 1):
+            baby.append(baby[-1] * g % p)
+        step = baby[-1] * g % p
+        giant = [1]
+        for _ in range((p - 2) // m):
+            giant.append(giant[-1] * step % p)
+        powers = np.outer(giant, baby) % p
         index = np.full(p, -1, dtype=np.int64)
-        x = 1
-        for k in range(p - 1):
-            index[x] = k
-            x = x * g % p
+        index[powers.ravel()[: p - 1]] = np.arange(p - 1)
         zeta = np.exp(2j * np.pi / (p - 1) * np.arange(p - 1))
         return cls(p=p, g=g, index=index, zeta_powers=zeta)
 
@@ -108,8 +128,7 @@ def fourth_moment(p: int, K: int, H: int) -> float:
     table = character_table(p)
     cnt = _residue_counts(p, K, H)
     hist = np.zeros(p - 1, dtype=np.float64)
-    xs = np.arange(1, p)
-    np.add.at(hist, table.index[xs], cnt[xs])
+    hist[table.index[1:]] = cnt[1:]  # index is a bijection onto 0..p-2
     inner = (p - 1) * np.fft.ifft(hist)  # inner[j] = sum_x chi_j(x), all j at once
     mags = np.abs(inner[1:]) ** 2
     return float(np.sum(mags * mags))
@@ -167,19 +186,20 @@ def _product_histogram(p: int, box1: tuple[int, int], box2: tuple[int, int]) -> 
         return np.bincount(prods.ravel(), minlength=p).astype(np.int64)
     # large boxes: count residues first, convolve over the index group
     table = character_table(p)
-    out = np.zeros(p, dtype=np.int64)
-    c1 = _residue_counts(p, box1[0], box1[1] - box1[0])[1:].astype(np.float64)
-    c2 = _residue_counts(p, box2[0], box2[1] - box2[0])[1:].astype(np.float64)
-    xs = np.arange(1, p)
-    h1 = np.zeros(p - 1)
-    h2 = np.zeros(p - 1)
-    np.add.at(h1, table.index[xs], c1)
-    np.add.at(h2, table.index[xs], c2)
-    conv = np.fft.irfft(np.fft.rfft(h1) * np.fft.rfft(h2), p - 1)
+    n = p - 1
+    h1 = np.zeros(n)
+    h2 = np.zeros(n)
+    h1[table.index[1:]] = _residue_counts(p, box1[0], box1[1] - box1[0])[1:]
+    h2[table.index[1:]] = _residue_counts(p, box2[0], box2[1] - box2[0])[1:]
+    # the cyclic convolution is the linear one folded mod p-1; the linear one
+    # runs at a power-of-two FFT length, since p-1 may have a large prime factor
+    size = 1 << (2 * n - 2).bit_length()
+    lin = np.fft.irfft(np.fft.rfft(h1, size) * np.fft.rfft(h2, size), size)
+    conv = lin[:n]
+    conv[: n - 1] += lin[n : 2 * n - 1]
     # conv[k] counts pairs with ind(x1)+ind(x2) = k mod p-1, i.e. x1 x2 = g^k
-    g_pow = np.empty(p - 1, dtype=np.int64)
-    g_pow[table.index[xs]] = xs
-    out[g_pow] = np.rint(conv).astype(np.int64)
+    out = np.zeros(p, dtype=np.int64)
+    out[1:] = np.rint(conv[table.index[1:]]).astype(np.int64)
     return out
 
 

@@ -3,7 +3,10 @@
 Subcommands map one-to-one onto library operations; table-like results
 go to CSV files under --out-dir, single-object results go to stdout as
 JSON.  Exit codes: 0 success, 2 for configuration or usage problems,
-3 when a sweep's configured envelope threshold is breached (CI gating).
+3 when a sweep's configured envelope threshold is breached (CI gating),
+4 when an internal numerical self-check fails (an arithmetic or runtime
+error, such as a Kloosterman sum whose imaginary part is not rounding
+noise); exits 2 and 4 print one line on stderr.
 
 --threads is accepted for interface stability and has no effect:
 computation is vectorized in one thread, and reports do not record it
@@ -367,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"divprog: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, RuntimeError) as exc:
+        print(f"divprog: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

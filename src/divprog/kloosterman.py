@@ -11,8 +11,16 @@ Three routes, used against each other in the tests:
   * batch over a: K_d(m, a) for many a through one length-d inverse DFT
     of the unit-indexed phase vector (K_d(m, .) is the Fourier transform
     of y -> e_d(m ybar) on Z_d),
-  * full table: all K_d(m, n) at once from a 2-D inverse DFT of the
-    indicator of {(x, xbar)}.
+  * full table: all K_d(m, n) at once from a 2-D real DFT (rfft2) of the
+    indicator of {(x, xbar)}, which gives the columns n <= d/2; the rest
+    follow from K_d(m, n) = K_d(-m, -n).
+
+The unit group is built with whole-array operations and one route for
+every d: the units are what is left after clearing the multiples of each
+prime factor of d, and the inverses of the units below d/2 come from one
+vectorized Euler power u^(phi(d) - 1) mod d in int64, exact for
+d <= 1e8 because every product stays below d^2 <= 1e16 < 2^63.  The
+units above d/2 take inv(d - u) = d - inv(u).
 
 Classical identities (symmetry, degeneration to Ramanujan sums, twisted
 multiplicativity, Weil's bound) are test oracles, not used in evaluation.
@@ -26,23 +34,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_prime, tau_of
+from .arith import factorize, tau_of
 from .errors import InvalidModulus, WindowTooLarge
 
 TWIDDLE_CAP = 10**7  # above this, phases are computed on the fly per call
-_TABLE_CAP = 4096  # full d x d tables: 16 d^2 bytes of complex128
+_TABLE_CAP = 4096  # full d x d tables: 8 d^2 bytes of float64, plus as much scratch
 
 _IMAG_SLACK = 1e-9  # per-unit allowance on the accumulated imaginary part
 
 
-def _inverse_table_prime(d: int) -> np.ndarray:
-    """inv[x] for x in 1..d-1, linear-time recurrence, prime d."""
-    inv = [0] * d
-    if d > 1:
-        inv[1 % d] = 1 % d
-    for i in range(2, d):
-        inv[i] = (d - (d // i) * inv[d % i]) % d
-    return np.array(inv[1:], dtype=np.int64)
+def _units(d: int) -> np.ndarray:
+    """Residues in [1, d) prime to d, ascending: clear the multiples of each p | d."""
+    keep = np.ones(d, dtype=bool)
+    for p, _ in factorize(d):
+        keep[::p] = False
+    return np.flatnonzero(keep).astype(np.int64)
+
+
+def _pow_mod(base: np.ndarray, e: int, d: int) -> np.ndarray:
+    """base^e mod d elementwise (d >= 2), square and multiply; exact while d^2 < 2^63."""
+    out = np.ones_like(base)
+    sq = base.copy()
+    while e:
+        if e & 1:
+            np.multiply(out, sq, out=out)
+            np.remainder(out, d, out=out)
+        e >>= 1
+        if e:
+            np.multiply(sq, sq, out=sq)
+            np.remainder(sq, d, out=sq)
+    return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -65,7 +86,8 @@ class KloostermanEvaluator:
             raise InvalidModulus(f"modulus must be >= 1, got {d}")
         if d > 10**8:
             # unit/inverse tables alone would be GBs; also keeps the int64
-            # index arithmetic below overflow-free (m*x < 10^16 << 2^63)
+            # Euler power and index arithmetic below overflow-free
+            # (products below d^2 <= 10^16 << 2^63)
             raise WindowTooLarge(f"complete sums over d = {d} are beyond desk scale")
         if d == 1:
             return cls(
@@ -74,12 +96,12 @@ class KloostermanEvaluator:
                 inverses=np.zeros(0, dtype=np.int64),
                 twiddle=np.ones(1, dtype=np.complex128),
             )
-        x = np.arange(1, d, dtype=np.int64)
-        units = x[np.gcd(x, d) == 1]
-        if is_prime(d):
-            inverses = _inverse_table_prime(d)
-        else:
-            inverses = np.array([pow(int(u), -1, d) for u in units], dtype=np.int64)
+        units = _units(d)
+        phi = len(units)
+        # Euler: u^(phi-1) = u^-1.  Only the lower half is powered; the units
+        # are symmetric under u -> d - u and inv(d - u) = d - inv(u).
+        lower = _pow_mod(units[: (phi + 1) // 2], phi - 1, d)
+        inverses = np.concatenate([lower, d - lower[: phi // 2][::-1]])
         twiddle = None
         if d <= TWIDDLE_CAP:
             twiddle = np.exp(2j * np.pi / d * np.arange(d))
@@ -152,9 +174,17 @@ def kloosterman_table(d: int) -> np.ndarray:
     ev = _evaluator(d)
     if d == 1:
         return np.ones((1, 1))
-    ind = np.zeros((d, d), dtype=np.complex128)
+    ind = np.zeros((d, d))
     ind[ev.units, ev.inverses] = 1.0
-    return (d * d * np.fft.ifft2(ind)).real
+    # rfft2 gives sum e_d(-(mx + n xbar)) = conj K_d(m, n) = K_d(m, n) for
+    # n <= d/2; the other columns follow from K_d(m, n) = K_d(-m, -n).
+    half = np.fft.rfft2(ind).real
+    del ind
+    c = half.shape[1]
+    table = np.empty((d, d))
+    table[:, :c] = half
+    table[:, c:] = half[-np.arange(d) % d, d - c : 0 : -1]
+    return table
 
 
 @dataclass(frozen=True)

@@ -37,12 +37,24 @@ import numpy as np
 from .arith import mod_inverse
 from .characters import CharacterTable, character_table, eta_factor
 from .errors import InvalidRange, SupportTooLarge
+from .quadrature import gauss_legendre
 
 _EXTENT_CAP = 1e5
 _LATTICE_CAP = 4 * 10**6
 _FREQ_CAP = 8192
 _FREQ_TOL = 1e-13
 _FREQ_RUN = 8  # consecutive sub-threshold magnitudes ending the scan
+
+
+def _gl_mesh(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point rule on `panels` equal panels of [lo, hi]."""
+    nodes, weights = gauss_legendre(16)
+    edges = np.linspace(lo, hi, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    ws = (half[:, None] * weights[None, :]).ravel()
+    return xs, ws
 
 
 @dataclass(frozen=True)
@@ -75,25 +87,15 @@ class BumpFunction:
         out[m] = np.exp(-1.0 / (1.0 - tm * tm)) * (-2.0 * tm) / (1.0 - tm * tm) ** 2
         return out / self.radius
 
-    def _mesh(self, panels: int, order: int = 16) -> tuple[np.ndarray, np.ndarray]:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        lo, hi = self.support
-        edges = np.linspace(lo, hi, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-        ws = (half[:, None] * weights[None, :]).ravel()
-        return xs, ws
-
     def integral(self) -> float:
-        xs, ws = self._mesh(24)
+        xs, ws = _gl_mesh(*self.support, 24)
         return float(np.sum(self(xs) * ws))
 
     def fourier(self, u) -> np.ndarray:
         """ghat(u) = int g(x) e(ux) dx, vectorized over u."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
         panels = 24 + int(math.ceil(2.0 * self.radius * np.abs(u_arr).max()))
-        xs, ws = self._mesh(panels)
+        xs, ws = _gl_mesh(*self.support, panels)
         gw = self(xs) * ws
         out = np.empty(len(u_arr), dtype=np.complex128)
         for lo in range(0, len(u_arr), 64):
@@ -111,14 +113,9 @@ class BumpFunction:
             cuts.append(k * q)
             k += 1
         cuts = np.sort(np.asarray(cuts, dtype=np.float64))
-        nodes, weights = np.polynomial.legendre.leggauss(16)
         total = 0.0
         for a, b in zip(cuts[:-1], cuts[1:]):
-            edges = np.linspace(a, b, 17)
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-            ws = (half[:, None] * weights[None, :]).ravel()
+            xs, ws = _gl_mesh(a, b, 16)
             frac = xs / q - np.floor(xs / q)
             total += float(np.sum(frac * self.deriv(xs) * ws))
         return total

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +54,7 @@ from .bessel import bessel_k1, bessel_y1
 from .errors import InvalidRange, NonReducedResidue, SupportTooLarge
 from .arith import divisors
 from .kloosterman import _evaluator
+from .quadrature import gauss_legendre
 from .tausieve import sieve_tau
 
 _K_ARG_CUT = 50.0  # K1 below exp(-50); beyond this the integrand is dead
@@ -68,12 +68,6 @@ _TARGET = 1e-8
 def truncation_thresholds(d: int, X: float, Y: float, eps: float = 0.05) -> tuple[float, float]:
     """(U(d), V(d)) for the flat / decay / tail regime boundaries."""
     return d * d / X, d * d * X ** (1.0 + eps) / (Y * Y)
-
-
-@lru_cache(maxsize=4)
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -146,7 +140,7 @@ def _panels(root_lo: np.ndarray, root_hi: np.ndarray, counts: np.ndarray) -> _Pa
 def _integrate(panels: _Panels, c: np.ndarray, kernel, cutoff: SmoothCutoff,
                order: int) -> np.ndarray:
     """int w'(x) sqrt(x) kernel(c sqrt(x)) dx per weight, over its panels."""
-    nodes, weights = _gl_rule(order)
+    nodes, weights = gauss_legendre(order)
     out = np.zeros(len(c))
     step = max(1, _BLOCK_NODES // order)
     for s in range(0, panels.owner.size, step):

@@ -29,6 +29,17 @@ def test_table_construction_and_validation():
         CharacterTable.build(2)
 
 
+def test_index_matches_sequential_walk():
+    for p in (3, 5, 7, 13, 101, 100003):
+        t = CharacterTable.build(p)
+        want = np.full(p, -1, dtype=np.int64)
+        x = 1
+        for k in range(p - 1):
+            want[x] = k
+            x = x * t.g % p
+        assert np.array_equal(t.index, want), p
+
+
 def test_character_multiplicativity_and_orthogonality():
     t = character_table(11)
     p = t.p
@@ -157,7 +168,8 @@ def test_congruence_histogram_route_for_large_boxes():
 
 def test_congruence_histogram_route_matches_pair_route(monkeypatch):
     boxes = [((3, 40), (17, 90)), ((1, 250), (5, 61)), ((200, 260), (1000, 1100))]
-    for p in (3, 101, 1009):
+    # 1018 = 2 * 509: the folded linear convolution at a power-of-two length
+    for p in (3, 101, 1009, 1019):
         pair = [characters._product_histogram(p, b1, b2) for b1, b2 in boxes]
         monkeypatch.setattr(characters, "_BRUTE_CAP", 0)
         hist = [characters._product_histogram(p, b1, b2) for b1, b2 in boxes]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from divprog.arith import euler_phi, mod_inverse, ramanujan_sum
+from divprog.arith import euler_phi, is_prime, mod_inverse, ramanujan_sum
 from divprog.errors import WindowTooLarge
 from divprog.kloosterman import (
     KloostermanEvaluator,
@@ -88,12 +88,13 @@ def test_batch_over_a_matches_scalar():
 
 
 def test_full_table_matches_scalar():
-    for d in (2, 3, 16, 35, 101):
+    # every entry, so both the rfft2 half (n <= d/2, for even d including
+    # the self-mapped column n = d/2) and the reflected half are covered
+    for d in (2, 3, 4, 16, 35, 60, 97, 101):
         tab = kloosterman_table(d)
         assert tab.shape == (d, d)
-        for m in range(0, d, max(1, d // 7)):
-            for n in range(0, d, max(1, d // 5)):
-                assert abs(tab[m, n] - kloosterman(d, m, n)) < 1e-8, (d, m, n)
+        want = np.array([[kloosterman(d, m, n) for n in range(d)] for m in range(d)])
+        assert np.max(np.abs(tab - want)) < 1e-8, d
 
 
 def test_weil_envelope_small_exhaustive():
@@ -104,6 +105,29 @@ def test_weil_envelope_small_exhaustive():
                 chk = check_weil(d, m, n)
                 assert chk.ok, (d, m, n, chk)
                 assert abs(chk.value - tab[m, n]) < 1e-8
+
+
+def _prev_prime(n):
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+def test_units_and_inverses_against_gcd_filter_and_pow():
+    for d in (2, 3, 4, 8, 9, 60, 486, 720720):
+        ev = KloostermanEvaluator.build(d)
+        want = [x for x in range(1, d) if math.gcd(x, d) == 1]
+        assert ev.units.dtype == np.int64 and ev.units.tolist() == want, d
+        assert ev.inverses.tolist() == [pow(u, -1, d) for u in want], d
+    # d near 1e6: all units against a gcd filter, the inverses on a slice of
+    # each half (the upper half is reflected from the lower one)
+    for d in (_prev_prime(10**6), 2 * _prev_prime(500000)):
+        ev = KloostermanEvaluator.build(d)
+        x = np.arange(d)
+        assert np.array_equal(ev.units, x[np.gcd(x, d) == 1])
+        for lo in (0, len(ev.units) // 2 - 500, len(ev.units) - 1000):
+            units = ev.units[lo : lo + 1000].tolist()
+            assert ev.inverses[lo : lo + 1000].tolist() == [pow(u, -1, d) for u in units]
 
 
 def test_evaluator_reuse_and_phi():

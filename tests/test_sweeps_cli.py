@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import subprocess
@@ -288,15 +289,20 @@ def test_cli_tau_all_and_single(tmp_path, capsys):
     assert doc["S"] == vec[4]
 
 
-def test_cli_tau_row_sum_check_raises(tmp_path, monkeypatch):
+def test_cli_tau_row_sum_check_raises(tmp_path, monkeypatch, capsys):
     def broken(X, q):
         vec = divisor_sum_progressions(X, q)
         vec.sums[0] += 1
         return vec
 
     monkeypatch.setattr(cli, "divisor_sum_progressions", broken)
+    argv = ["--out-dir", str(tmp_path), "tau", "--x", "500", "--q", "9"]
     with pytest.raises(RuntimeError, match="internal check failed"):
-        main(["--out-dir", str(tmp_path), "tau", "--x", "500", "--q", "9"])
+        cli._cmd_tau(cli.build_parser().parse_args(argv))
+    # main reports the failed check as an internal error, exit 4
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "internal check failed" in err
 
 
 def test_cli_errors_set_file(tmp_path, capsys):
@@ -383,6 +389,16 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert main(["kloosterman", "--d", "5", "--m", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_kloosterman_imaginary_check_exits_4(capsys, monkeypatch):
+    kl_module = importlib.import_module("divprog.kloosterman")  # the package re-exports the function
+    monkeypatch.setattr(kl_module, "_IMAG_SLACK", -1.0)  # no imaginary part passes
+    assert main(["kloosterman", "--d", "7", "--m", "1", "--n", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("divprog: internal error: FloatingPointError: K_7(1,2)")
+    assert captured.err.count("\n") == 1
 
 
 def test_cli_voronoi_check(tmp_path, capsys):
