@@ -1,23 +1,29 @@
-"""Regenerate a Chebyshev table used by divprog.bessel for Y0 or Y1 on [8, 17].
+"""Regenerate a Chebyshev table used by divprog.bessel.
 
-The ascending series for Y_nu loses digits to cancellation past x ~ 8 and
-the large-argument expansion only reaches full double accuracy past
-x ~ 17, so the window between is served by one Chebyshev interpolant per
-order.  This script rebuilds its coefficients with mpmath at 40-digit
-working precision and prints the leading TERMS of them, ready to paste
-into bessel.py.  Run it only when changing the window or the degree; the
+Each kernel is served by its ascending series near 0 and by its
+large-argument expansion past x = 17; between them sit Chebyshev
+interpolants:
+
+  * Y0, Y1 on [8, 17], where the series loses digits to cancellation;
+  * exp(x) K0, exp(x) K1 on [2, 5] and [5, 17], scaled so that the
+    interpolated function varies slowly (the exp(-x) factor is applied
+    at run time).
+
+This script rebuilds one table with mpmath at 40-digit working precision
+and prints the leading TERMS of the coefficients, ready to paste into
+bessel.py.  Run it only when changing a window or the degree; the
 committed tables are frozen.
 
-Usage: python demos/generate_bessel_table.py [ORDER]    (ORDER 0 or 1, default 0)
+Usage: python demos/generate_bessel_table.py FAMILY ORDER LO HI
+       (FAMILY y or k, ORDER 0 or 1), e.g.  ... y 1 8 17  or  ... k 0 2 5
 """
 
-import sys
+import argparse
 
 import mpmath as mp
 
-LO, HI = 8.0, 17.0
 DEGREE = 48
-TERMS = 32  # every dropped coefficient is below 1e-24 for both orders
+TERMS = 32  # every dropped coefficient is below 3e-18 for every committed table
 
 mp.mp.dps = 40
 
@@ -35,17 +41,24 @@ def cheb_coeffs(f, lo, hi, n):
 
 
 def main():
-    order = int(sys.argv[1]) if len(sys.argv) > 1 else 0
-    if order not in (0, 1):
-        raise SystemExit("ORDER must be 0 or 1")
-    coeffs = cheb_coeffs(lambda x: mp.bessely(order, x), LO, HI, DEGREE)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("family", choices=("y", "k"))
+    ap.add_argument("order", type=int, choices=(0, 1))
+    ap.add_argument("lo", type=float)
+    ap.add_argument("hi", type=float)
+    args = ap.parse_args()
+    if not 0 < args.lo < args.hi:
+        raise SystemExit("need 0 < LO < HI")
+    lo, hi = mp.mpf(args.lo), mp.mpf(args.hi)
+    if args.family == "y":
+        f, what = (lambda x: mp.bessely(args.order, x)), f"Y{args.order}"
+    else:
+        f, what = (lambda x: mp.exp(x) * mp.besselk(args.order, x)), f"exp(x) K{args.order}"
+    coeffs = cheb_coeffs(f, lo, hi, DEGREE)
     # report the drop-off so the committed length is visibly sufficient
-    print(f"# Y{order} Chebyshev on [{LO}, {HI}], degree {DEGREE}, leading {TERMS} kept")
+    print(f"# {what} Chebyshev on [{args.lo:g}, {args.hi:g}], degree {DEGREE}, leading {TERMS} kept")
     print(f"# largest dropped magnitude: {mp.nstr(max(abs(c) for c in coeffs[TERMS:]), 3)}")
-    if order == 0:
-        print("_Y_MID_LO = %.1f" % LO)
-        print("_Y_MID_HI = %.1f" % HI)
-    print(f"_Y{order}_MID_COEFFS = np.array([")
+    print("np.array([")
     for c in coeffs[:TERMS]:
         print(f"    {mp.nstr(c, 20, strip_zeros=False)},")
     print("])")

@@ -8,7 +8,6 @@ against the analytic envelopes.
 """
 
 from .arith import (
-    MultiplicativeSieveTables,
     divisors,
     euler_phi,
     factorize,

@@ -16,9 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import InvalidModulus, NotInvertible, NotPrime
 
@@ -168,46 +165,3 @@ def primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
             return g
     raise AssertionError("unreachable: every prime has a primitive root")
-
-
-@dataclass(frozen=True)
-class MultiplicativeSieveTables:
-    """Dense tables of spf / mu / phi on 1..limit, built in one linear pass.
-
-    spf[n] is the smallest prime factor (spf[1] = 1).  Memory is three
-    int64 arrays, about 24 bytes per entry.
-    """
-
-    limit: int
-    spf: np.ndarray
-    mobius: np.ndarray
-    phi: np.ndarray
-
-    @classmethod
-    def build(cls, limit: int) -> "MultiplicativeSieveTables":
-        if limit < 1:
-            raise InvalidModulus(f"limit must be >= 1, got {limit}")
-        spf = np.zeros(limit + 1, dtype=np.int64)
-        for i in range(2, limit + 1):
-            if spf[i] == 0:
-                sl = spf[i::i]
-                sl[sl == 0] = i
-        spf[1] = 1
-        mu = np.zeros(limit + 1, dtype=np.int64)
-        phi = np.zeros(limit + 1, dtype=np.int64)
-        mu[1] = phi[1] = 1
-        spl = spf.tolist()  # plain-int access is ~3x faster in the loop
-        mul = mu.tolist()
-        phl = phi.tolist()
-        for n in range(2, limit + 1):
-            p = spl[n]
-            m = n // p
-            if m % p == 0:
-                mul[n] = 0
-                phl[n] = phl[m] * p
-            else:
-                mul[n] = -mul[m]
-                phl[n] = phl[m] * (p - 1)
-        mu = np.array(mul, dtype=np.int64)
-        phi = np.array(phl, dtype=np.int64)
-        return cls(limit=limit, spf=spf, mobius=mu, phi=phi)

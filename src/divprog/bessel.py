@@ -7,19 +7,29 @@ below anything the oscillatory quadrature downstream can feel; targets
 are ~1e-12 absolute against the local envelope and 1e-10 relative away
 from zeros.
 
+Every kernel is built the same way: its ascending series near 0, a
+Chebyshev interpolant in the middle, and its large-argument expansion
+past x = 17.  The interpolants keep the leading 32 coefficients of
+degree 47, frozen from demos/generate_bessel_table.py (mpmath, 40-digit
+working precision), every dropped coefficient below 3e-18 of the
+function.  The large-argument expansions, with mu = 4 nu^2 and
+a_k(nu) = (mu - 1)(mu - 9)..(mu - (2k-1)^2) / (k! 8^k), are summed in
+bands of x (17, 25, 50, 100, 200, ...), each band summing the terms its
+lower end needs for the next one to fall under 1e-17 (32 at x = 17, 10 at
+x = 100): safely inside the decreasing range of the divergent series
+(first neglected term < 2e-15 of the envelope at x = 17).
+
 K0, K1 (positive, monotone decreasing):
   * x <= 2: ascending series (DLMF 10.31.2, 10.31.1)
         K0 = -(log(x/2) + gamma) I0(x) + sum_k H_k (x^2/4)^k / (k!)^2,
         K1 = 1/x + (log(x/2) + gamma) I1(x)
              - (x/4) sum_k (H_k + H_(k+1)) (x^2/4)^k / (k! (k+1)!),
     no cancellation for K0 and one digit for K1;
-  * x > 2: the integral K_nu = int_0^inf exp(-x cosh t) cosh(nu t) dt,
-    truncated where exp(-x cosh t) falls 46 e-foldings under its peak and
-    evaluated by a 24-panel trapezoid rule.  The integrand is even at 0
-    and dead at the cut, so the trapezoid converges spectrally: against
-    mpmath, 16 panels already reach the rounding floor of exp(-x cosh t),
-    about 2e-15 relative for x < 20 and 5e-14 near x = 700.  Below the
-    double-precision floor (x > 700) the value is flushed to exactly 0.
+  * 2 < x <= 17: exp(-x) times a Chebyshev interpolant of exp(x) K_nu on
+    (2, 5] and on (5, 17];
+  * 17 < x <= 700: the large-argument expansion (DLMF 10.40.2)
+        K_nu = sqrt(pi/(2x)) exp(-x) sum_k a_k(nu) / x^k;
+  * x > 700: below the double-precision floor, flushed to exactly 0.
 
 Y0, Y1 (oscillatory):
   * x <= 8: ascending series (DLMF 10.8.2, 10.8.1)
@@ -28,17 +38,11 @@ Y0, Y1 (oscillatory):
         Y1 = -2/(pi x) + (2/pi)(log(x/2) + gamma) J1(x)
              - (x/(2 pi)) sum_k (H_k + H_(k+1)) (-x^2/4)^k / (k! (k+1)!);
     cancellation grows with x and caps the accuracy near 1e-13 at x = 8;
-  * 8 < x <= 17: a Chebyshev interpolant per order, the leading 32
-    coefficients of degree 47; coefficients frozen from
-    demos/generate_bessel_table.py (mpmath, 40-digit working precision),
-    every dropped coefficient below 1e-24;
-  * x > 17: the large-argument (Hankel) expansion, mu = 4 nu^2,
+  * 8 < x <= 17: a Chebyshev interpolant of Y_nu;
+  * x > 17: the large-argument (Hankel) expansion (DLMF 10.17.4)
         Y_nu = sqrt(2/(pi x)) [sin(w) P(x) + cos(w) Q(x)],
         w = x - (2 nu + 1) pi/4,
-    in bands of x (17, 25, 50, 100, 200, inf), each summing the terms its
-    lower end needs for the next one to fall under 1e-17 (32 at x = 17,
-    10 at x = 100): safely inside the decreasing range of the divergent
-    series (first neglected term < 2e-15 of the envelope at x = 17).
+        P = sum_j (-1)^j a_2j(nu) / x^2j,  Q = sum_j (-1)^j a_(2j+1)(nu) / x^(2j+1).
 
 Relative accuracy at an individual zero of Y_nu is meaningless in
 doubles (the zero's location itself carries rounding); accuracy
@@ -54,85 +58,227 @@ import numpy as np
 EULER_GAMMA = 0.57721566490153286061
 
 _K_SERIES_TERMS = 20
-_K_PANELS = 24
-_K_CUT_EFOLDINGS = 46.0
 _Y_SERIES_TERMS = 32
 _HANKEL_MAX_TERMS = 32
 _HANKEL_TAIL = 1e-17
 _HANKEL_BANDS = (17.0, 25.0, 50.0, 100.0, 200.0, np.inf)
+_K_FLOOR = 700.0  # K0, K1 < 1e-305 beyond; flushed to 0
 
 _HARMONIC = np.cumsum(1.0 / np.arange(1, 64))  # _HARMONIC[k - 1] = H_k
 
-_Y_MID_LO = 8.0
-_Y_MID_HI = 17.0
-_Y0_MID_COEFFS = np.array([
-    0.063922071070524766850,
-    -0.089918998806429784368,
-    0.094512410072830446648,
-    -0.12395511958427779222,
-    -0.11460836087836227390,
-    0.065571886925162203306,
-    0.023697336002610349082,
-    -0.010599578705475652390,
-    -0.0021955542839305848484,
-    0.00086406738033639820970,
-    0.00011837138364620676072,
-    -0.000043021333378805809263,
-    -4.2344854486963061149e-6,
-    1.4553374395405806388e-6,
-    1.0866746152764129319e-7,
-    -3.5789230601276169670e-8,
-    -2.1084126359906942486e-9,
-    6.7070475446483100493e-10,
-    3.2092750541038892256e-11,
-    -9.9127661398326633015e-12,
-    -3.9455327847553883124e-13,
-    1.1871399408517571984e-13,
-    3.9947597054294698895e-15,
-    -1.1746316069976049022e-15,
-    -3.4200964492250242300e-17,
-    9.8207473747022886322e-18,
-    2.4253661046995986553e-19,
-    -6.8819597854311968471e-20,
-    -1.7001117197239332494e-21,
-    4.5542285092513058038e-22,
-    3.4759703788914998004e-24,
-    -1.3927871590090941459e-24,
-])
-_Y1_MID_COEFFS = np.array([
-    0.044622268522569220571,
-    0.063846512636785932985,
-    0.049280537575614092535,
-    0.14785754381263521889,
-    -0.11599295520342296376,
-    -0.055890653304453268036,
-    0.029722349074715265809,
-    0.0073022427025076628480,
-    -0.0032541180089867638485,
-    -0.00050417252924552772394,
-    0.00020215151235882899034,
-    0.000021922509182057879278,
-    -8.1750063819994104954e-6,
-    -6.6141321098908666841e-7,
-    2.3360993534616652895e-7,
-    1.4739882960681378108e-8,
-    -4.9849353290079355138e-9,
-    -2.5327356191911432613e-10,
-    8.2611704726343190115e-11,
-    3.4684424091968119229e-12,
-    -1.0960982322437444307e-12,
-    -3.8697843919088799253e-14,
-    1.1899045884562287788e-14,
-    3.6202875622157299917e-16,
-    -1.0829943141322898981e-16,
-    -2.7815316957629186876e-18,
-    8.1998386124088387695e-19,
-    2.1113580778839758620e-20,
-    -5.8513130108597447097e-21,
-    -4.3365066613632927988e-23,
-    1.8581512175271659652e-23,
-    2.9812051049204029139e-24,
-])
+# (lo, hi, coefficients) of the Chebyshev interpolants on (lo, hi]
+_Y0_CHEBYSHEV = (
+    (8.0, 17.0, np.array([
+        0.063922071070524766850,
+        -0.089918998806429784368,
+        0.094512410072830446648,
+        -0.12395511958427779222,
+        -0.11460836087836227390,
+        0.065571886925162203306,
+        0.023697336002610349082,
+        -0.010599578705475652390,
+        -0.0021955542839305848484,
+        0.00086406738033639820970,
+        0.00011837138364620676072,
+        -0.000043021333378805809263,
+        -4.2344854486963061149e-6,
+        1.4553374395405806388e-6,
+        1.0866746152764129319e-7,
+        -3.5789230601276169670e-8,
+        -2.1084126359906942486e-9,
+        6.7070475446483100493e-10,
+        3.2092750541038892256e-11,
+        -9.9127661398326633015e-12,
+        -3.9455327847553883124e-13,
+        1.1871399408517571984e-13,
+        3.9947597054294698895e-15,
+        -1.1746316069976049022e-15,
+        -3.4200964492250242300e-17,
+        9.8207473747022886322e-18,
+        2.4253661046995986553e-19,
+        -6.8819597854311968471e-20,
+        -1.7001117197239332494e-21,
+        4.5542285092513058038e-22,
+        3.4759703788914998004e-24,
+        -1.3927871590090941459e-24,
+    ])),
+)
+_Y1_CHEBYSHEV = (
+    (8.0, 17.0, np.array([
+        0.044622268522569220571,
+        0.063846512636785932985,
+        0.049280537575614092535,
+        0.14785754381263521889,
+        -0.11599295520342296376,
+        -0.055890653304453268036,
+        0.029722349074715265809,
+        0.0073022427025076628480,
+        -0.0032541180089867638485,
+        -0.00050417252924552772394,
+        0.00020215151235882899034,
+        0.000021922509182057879278,
+        -8.1750063819994104954e-6,
+        -6.6141321098908666841e-7,
+        2.3360993534616652895e-7,
+        1.4739882960681378108e-8,
+        -4.9849353290079355138e-9,
+        -2.5327356191911432613e-10,
+        8.2611704726343190115e-11,
+        3.4684424091968119229e-12,
+        -1.0960982322437444307e-12,
+        -3.8697843919088799253e-14,
+        1.1899045884562287788e-14,
+        3.6202875622157299917e-16,
+        -1.0829943141322898981e-16,
+        -2.7815316957629186876e-18,
+        8.1998386124088387695e-19,
+        2.1113580778839758620e-20,
+        -5.8513130108597447097e-21,
+        -4.3365066613632927988e-23,
+        1.8581512175271659652e-23,
+        2.9812051049204029139e-24,
+    ])),
+)
+_K0_CHEBYSHEV = (  # of exp(x) K0
+    (2.0, 5.0, np.array([
+        0.67109126469452430529,
+        -0.14265907925889676822,
+        0.022801293417163664995,
+        -0.0040666473690411486579,
+        0.00076463811568769157359,
+        -0.00014841027052723643734,
+        0.000029430885891913807757,
+        -5.9284545451632260104e-6,
+        1.2086143185519938039e-6,
+        -2.4875408171834143610e-7,
+        5.1597453392073153803e-8,
+        -1.0772094903272251927e-8,
+        2.2612985783124961020e-9,
+        -4.7694354817137247788e-10,
+        1.0100908530634242360e-10,
+        -2.1469479349559790905e-11,
+        4.5779550343673944825e-12,
+        -9.7895177257718130568e-13,
+        2.0987702797221761563e-13,
+        -4.5099839252940260889e-14,
+        9.7117892303604061833e-15,
+        -2.0953552971287467945e-15,
+        4.5287721207577274876e-16,
+        -9.8040685456941142025e-17,
+        2.1255981375402472789e-17,
+        -4.6148425514581723165e-18,
+        1.0032072670842573415e-18,
+        -2.1834543488443606916e-19,
+        4.7575427658971952906e-20,
+        -1.0377082055801500360e-20,
+        2.2656536744235713344e-21,
+        -4.9512157748031718518e-22,
+    ])),
+    (5.0, 17.0, np.array([
+        0.39772884030231708463,
+        -0.11640700214868919287,
+        0.025396266593469975956,
+        -0.0061512410372264494215,
+        0.0015646858062653485395,
+        -0.00040957773138807087304,
+        0.00010926123318051011554,
+        -0.000029543469308306395600,
+        8.0699706741567610835e-6,
+        -2.2219715611766893703e-6,
+        6.1573332206869950340e-7,
+        -1.7153349399852703051e-7,
+        4.8000183696415990018e-8,
+        -1.3483217597783253363e-8,
+        3.7999620648480353092e-9,
+        -1.0740436881015005951e-9,
+        3.0435196718702020877e-10,
+        -8.6441288408355572538e-11,
+        2.4601195937964092577e-11,
+        -7.0144784340880924270e-12,
+        2.0033894206641364990e-12,
+        -5.7306366841772238131e-13,
+        1.6415450292973418090e-13,
+        -4.7083300780060100494e-14,
+        1.3520808141205770130e-14,
+        -3.8870698602369748093e-15,
+        1.1186452789466680473e-15,
+        -3.2224242358918187071e-16,
+        9.2910812832813909939e-17,
+        -2.6811345111168564064e-17,
+        7.7431488702020932213e-18,
+        -2.2379127271715429285e-18,
+    ])),
+)
+_K1_CHEBYSHEV = (  # of exp(x) K1
+    (2.0, 5.0, np.array([
+        0.77485455517459478033,
+        -0.20778966343016590638,
+        0.040115768698775590784,
+        -0.0083937824278738468298,
+        0.0018125239211350227307,
+        -0.00039747537902557955012,
+        0.000087914887824335382597,
+        -0.000019546475908195876734,
+        4.3603738294501258803e-6,
+        -9.7488938019639158450e-7,
+        2.1830798367010799700e-7,
+        -4.8941348153680349622e-8,
+        1.0981103608354311029e-8,
+        -2.4654195455795325400e-9,
+        5.5379261371103440103e-10,
+        -1.2444255103932794573e-10,
+        2.7971896447863553808e-11,
+        -6.2889827291742538422e-12,
+        1.4142449297189340119e-12,
+        -3.1808212451679002223e-13,
+        7.1550429902590193272e-14,
+        -1.6096594418034343249e-14,
+        3.6215695647006495925e-15,
+        -8.1488158547320363332e-16,
+        1.8336731332075096113e-16,
+        -4.1264338554841534347e-17,
+        9.2864541638270017926e-18,
+        -2.0899895126802102614e-18,
+        4.7038666856201791432e-19,
+        -1.0587186058328945075e-19,
+        2.3829721753144852176e-20,
+        -5.3637531280254141953e-21,
+    ])),
+    (5.0, 17.0, np.array([
+        0.42058508960622319865,
+        -0.13566640063797594046,
+        0.032306431151719139700,
+        -0.0084797951308665463747,
+        0.0023236093272880628620,
+        -0.00065188408334103644018,
+        0.00018555520188977298289,
+        -0.000053327354900251731664,
+        0.000015429177664038038708,
+        -4.4859353553706625454e-6,
+        1.3090256284199090166e-6,
+        -3.8305288129683519432e-7,
+        1.1233634538635972467e-7,
+        -3.3001870110427457098e-8,
+        9.7088474977310053874e-9,
+        -2.8595398981215395531e-9,
+        8.4301895956248731139e-10,
+        -2.4872700676428675042e-10,
+        7.3434220666082950816e-11,
+        -2.1693021162234714844e-11,
+        6.4113840662250760340e-12,
+        -1.8956769254701014713e-12,
+        5.6070346956661704672e-13,
+        -1.6589686968105519726e-13,
+        4.9097802130961198833e-14,
+        -1.4534173631585910536e-14,
+        4.3033904333939733396e-15,
+        -1.2744204440669945208e-15,
+        3.7747415497748236583e-16,
+        -1.1182177914938472135e-16,
+        3.3130154940241096496e-17,
+        -9.8168580633667679908e-18,
+    ])),
+)
 
 
 def _k0_series(x: np.ndarray) -> np.ndarray:
@@ -158,20 +304,6 @@ def _k1_series(x: np.ndarray) -> np.ndarray:
         extra += (_HARMONIC[k - 1] + _HARMONIC[k]) * term
     half = x / 2.0
     return 1.0 / x + (np.log(half) + EULER_GAMMA) * half * i1 - half / 2.0 * extra
-
-
-def _k_integral(x: np.ndarray, order: int) -> np.ndarray:
-    """K0 (order 0) or K1 (order 1) by the trapezoid rule."""
-    T = np.arccosh(1.0 + _K_CUT_EFOLDINGS / x)
-    u = np.linspace(0.0, 1.0, _K_PANELS + 1)
-    t = T[:, None] * u[None, :]
-    cosh_t = np.cosh(t)
-    f = np.exp(-x[:, None] * cosh_t)
-    if order:  # order 1: the weight cosh(t) is already at hand
-        f *= cosh_t
-    f[:, 0] *= 0.5
-    f[:, -1] *= 0.5
-    return T / _K_PANELS * f.sum(axis=1)
 
 
 def _y0_series(x: np.ndarray) -> np.ndarray:
@@ -201,13 +333,17 @@ def _y1_series(x: np.ndarray) -> np.ndarray:
     return (-1.0 / half + 2.0 * (np.log(half) + EULER_GAMMA) * half * j1 - half * extra) / np.pi
 
 
-def _chebyshev(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    t = (2.0 * x - (_Y_MID_LO + _Y_MID_HI)) / (_Y_MID_HI - _Y_MID_LO)
+def _chebyshev(x: np.ndarray, coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    t = (2.0 * x - (lo + hi)) / (hi - lo)
     b1 = np.zeros_like(x)
     b2 = np.zeros_like(x)
     for c in coeffs[:0:-1]:
         b1, b2 = c + 2.0 * t * b1 - b2, b1
     return coeffs[0] + t * b1 - b2
+
+
+def _k_chebyshev(x: np.ndarray, coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return np.exp(-x) * _chebyshev(x, coeffs, lo, hi)
 
 
 def _hankel_terms(mu: float, x_min: float) -> int:
@@ -220,79 +356,119 @@ def _hankel_terms(mu: float, x_min: float) -> int:
     return _HANKEL_MAX_TERMS
 
 
-def _y_hankel(x: np.ndarray, order: int, terms: int) -> np.ndarray:
+def _asymptotic_coeffs(order: int, terms: int) -> list[float]:
+    """a_0(nu) .. a_terms(nu) for nu = order."""
     mu = 4.0 * order * order
-    inv_x = 1.0 / x
-    P = np.ones_like(x)
-    Q = np.zeros_like(x)
-    term = np.ones_like(x)  # (-1)^floor(k/2) a_k(nu) / x^k
+    out = [1.0]
     for k in range(1, terms + 1):
-        ratio = (mu - (2 * k - 1) ** 2) / (8.0 * k)
-        term *= inv_x
-        term *= -ratio if k % 2 == 0 else ratio
-        if k % 2 == 0:
-            P += term
-        else:
-            Q += term
+        out.append(out[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
+    return out
+
+
+def _horner(y: np.ndarray, coeffs) -> np.ndarray:
+    """sum_k coeffs[k] y^k."""
+    acc = np.full_like(y, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= y
+        acc += c
+    return acc
+
+
+def _k_asymptotic(x: np.ndarray, coeffs: tuple) -> np.ndarray:
+    inv_x = 1.0 / x
+    return np.sqrt(np.pi / 2.0 * inv_x) * np.exp(-x) * _horner(inv_x, coeffs)
+
+
+def _y_hankel(x: np.ndarray, order: int, p_coeffs: tuple, q_coeffs: tuple) -> np.ndarray:
+    inv_x = 1.0 / x
+    y = inv_x * inv_x
+    P = _horner(y, p_coeffs)
+    Q = _horner(y, q_coeffs) * inv_x
     phase = x - (2 * order + 1) * np.pi / 4.0
     return np.sqrt(2.0 / np.pi * inv_x) * (np.sin(phase) * P + np.cos(phase) * Q)
 
 
-def _y_pieces(order: int, series, coeffs: np.ndarray) -> tuple:
-    """Routes of Y_order; each Hankel band sums the terms its lower end needs."""
-    pieces = [(0.0, _Y_MID_LO, series),
-              (_Y_MID_LO, _Y_MID_HI, functools.partial(_chebyshev, coeffs=coeffs))]
+def _asymptotic_bands(order: int, top: float):
+    """(lo, hi, coefficients) per band up to `top`, each with the terms its lower end needs."""
     for lo, hi in zip(_HANKEL_BANDS[:-1], _HANKEL_BANDS[1:]):
+        if lo >= top:
+            return
         terms = _hankel_terms(4.0 * order * order, lo)
-        pieces.append((lo, hi, functools.partial(_y_hankel, order=order, terms=terms)))
-    return tuple(pieces)
+        yield lo, min(hi, top), _asymptotic_coeffs(order, terms)
 
 
-def _dispatch(x, pieces) -> np.ndarray | float:
+def _routes(pieces: list) -> tuple[np.ndarray, tuple]:
+    """The upper ends of consecutive pieces (lo, hi, fn) tiling (0, inf), and their fns."""
+    return np.array([hi for _, hi, _ in pieces[:-1]]), tuple(fn for _, _, fn in pieces)
+
+
+def _y_routes(order: int, series, tables) -> tuple[np.ndarray, tuple]:
+    """Routes of Y_order."""
+    pieces = [(0.0, tables[0][0], series)]
+    for lo, hi, coeffs in tables:
+        pieces.append((lo, hi, functools.partial(_chebyshev, coeffs=coeffs, lo=lo, hi=hi)))
+    for lo, hi, a in _asymptotic_bands(order, np.inf):
+        signs = [(-1) ** (k // 2) for k in range(len(a))]
+        p = tuple(s * c for s, c in zip(signs[0::2], a[0::2]))
+        q = tuple(s * c for s, c in zip(signs[1::2], a[1::2]))
+        pieces.append((lo, hi, functools.partial(_y_hankel, order=order, p_coeffs=p, q_coeffs=q)))
+    return _routes(pieces)
+
+
+def _k_routes(order: int, series, tables) -> tuple[np.ndarray, tuple]:
+    """Routes of K_order; below the double-precision floor past 700 it is 0."""
+    pieces = [(0.0, tables[0][0], series)]
+    for lo, hi, coeffs in tables:
+        pieces.append((lo, hi, functools.partial(_k_chebyshev, coeffs=coeffs, lo=lo, hi=hi)))
+    for lo, hi, a in _asymptotic_bands(order, _K_FLOOR):
+        pieces.append((lo, hi, functools.partial(_k_asymptotic, coeffs=tuple(a))))
+    pieces.append((_K_FLOOR, np.inf, np.zeros_like))
+    return _routes(pieces)
+
+
+def _dispatch(x, routes: tuple[np.ndarray, tuple]) -> np.ndarray | float:
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if arr.size and arr.min() <= 0.0:
         raise ValueError("kernels are defined for positive arguments only")
-    out = np.empty_like(arr)
-    for lo, hi, fn in pieces:
-        m = (arr > lo) & (arr <= hi)
-        if m.any():
-            out[m] = fn(arr[m])
+    edges, fns = routes
+    route = edges.searchsorted(arr)  # fns[i] serves (edges[i-1], edges[i]]
+    counts = np.bincount(route, minlength=len(fns))
+    if arr.size and counts.max() == arr.size:  # one route serves every argument
+        out = fns[route[0]](arr)
+    else:
+        out = np.empty_like(arr)
+        for i in np.flatnonzero(counts):
+            m = route == i
+            out[m] = fns[i](arr[m])
     return float(out[0]) if scalar else out
 
 
-def _k_pieces(order: int, series) -> tuple:
-    """Routes of K_order; below the double-precision floor past 700 it is 0."""
-    return ((0.0, 2.0, series),
-            (2.0, 700.0, functools.partial(_k_integral, order=order)),
-            (700.0, np.inf, np.zeros_like))
-
-
-_K0_PIECES = _k_pieces(0, _k0_series)
-_K1_PIECES = _k_pieces(1, _k1_series)
-_Y0_PIECES = _y_pieces(0, _y0_series, _Y0_MID_COEFFS)
-_Y1_PIECES = _y_pieces(1, _y1_series, _Y1_MID_COEFFS)
+_K0_ROUTES = _k_routes(0, _k0_series, _K0_CHEBYSHEV)
+_K1_ROUTES = _k_routes(1, _k1_series, _K1_CHEBYSHEV)
+_Y0_ROUTES = _y_routes(0, _y0_series, _Y0_CHEBYSHEV)
+_Y1_ROUTES = _y_routes(1, _y1_series, _Y1_CHEBYSHEV)
 
 
 def bessel_k0(x) -> np.ndarray | float:
     """K0(x) for scalar or array x > 0."""
-    return _dispatch(x, _K0_PIECES)
+    return _dispatch(x, _K0_ROUTES)
 
 
 def bessel_k1(x) -> np.ndarray | float:
     """K1(x) for scalar or array x > 0."""
-    return _dispatch(x, _K1_PIECES)
+    return _dispatch(x, _K1_ROUTES)
 
 
 def bessel_y0(x) -> np.ndarray | float:
     """Y0(x) for scalar or array x > 0."""
-    return _dispatch(x, _Y0_PIECES)
+    return _dispatch(x, _Y0_ROUTES)
 
 
 def bessel_y1(x) -> np.ndarray | float:
     """Y1(x) for scalar or array x > 0."""
-    return _dispatch(x, _Y1_PIECES)
+    return _dispatch(x, _Y1_ROUTES)
 
 
 def y0_envelope(x) -> np.ndarray | float:

@@ -18,6 +18,7 @@ its report is the same either way.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -246,11 +247,7 @@ def _cmd_congcount(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = sweeps.ExperimentConfig.from_json(args.config)
     if args.seed_override is not None:
-        cfg = sweeps.ExperimentConfig(
-            experiment=cfg.experiment, x_grid=cfg.x_grid, modulus_grid=cfg.modulus_grid,
-            set_kind=cfg.set_kind, lengths=cfg.lengths, offsets=cfg.offsets,
-            kappas=cfg.kappas, seed=args.seed_override, eps=cfg.eps, thresholds=cfg.thresholds,
-        )
+        cfg = dataclasses.replace(cfg, seed=args.seed_override)
     result = sweeps.run_theorem_sweep(cfg, args.out_dir, fmt=args.format)
     _json_out(result.summary)
     for p in result.paths:

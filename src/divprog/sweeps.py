@@ -267,10 +267,6 @@ def emit_report(rows: list[dict], fmt: str, path: str | Path, seed: int | None =
     return str(path)
 
 
-def _json_default(v):
-    raise TypeError(f"not JSON serializable: {type(v)}")
-
-
 def _json_normalize(v):
     if isinstance(v, dict):
         return {k: _json_normalize(x) for k, x in sorted(v.items())}
@@ -288,7 +284,7 @@ def _json_normalize(v):
 
 
 def _json_dumps(doc) -> str:
-    return json.dumps(_json_normalize(doc), sort_keys=True, indent=1, default=_json_default)
+    return json.dumps(_json_normalize(doc), sort_keys=True, indent=1)
 
 
 def _interval_rows(cfg: ExperimentConfig, rng: np.random.Generator) -> list[dict]:

@@ -30,11 +30,15 @@ w' is zero on the plateau [2Y, X], so only the two transitions [Y, 2Y]
 and [X, X+Y] are integrated.  Each is cut into six windows of width Y/6,
 and each window into equal steps of z = c sqrt(x) no wider than one
 phase interval pi (Y1) or two e-foldings (K1; nothing past z = 50), with
-Gauss-Legendre inside each panel.  All weights of one (d, sign) are
-evaluated together, in blocks of nodes.  The 16-point and 24-point values
-give the error estimate; the weights above target get one uniform
-refinement before they are flagged.  Convergence problems are reported
-on the returned value, never raised.
+the nested 12-point Gauss / 25-point Kronrod rule inside each panel (see
+quadrature.py).  All weights of one (d, sign) are evaluated together, in
+blocks of nodes.  The factor w'(x) sqrt(x) does not depend on n: the
+weights whose windows have the same panel count (and end) share their
+panels, and the factor is evaluated once per distinct panel.  The
+Kronrod value is the integral and its distance from the Gauss value on
+the same nodes the error estimate; the weights above target get one
+uniform refinement before they are flagged.  Convergence problems are
+reported on the returned value, never raised.
 
 The n-sum is folded per divisor: with W^+-[r] = sum_{n = r (d)} tau(n)
 u_d^+-(n), the block is sum_{x unit} T(x) e_d(a xbar), where
@@ -54,14 +58,14 @@ from .bessel import bessel_k1, bessel_y1
 from .errors import InvalidRange, NonReducedResidue, SupportTooLarge
 from .arith import divisors
 from .kloosterman import _evaluator
-from .quadrature import gauss_legendre
+from .quadrature import gauss_kronrod
 from .tausieve import sieve_tau
 
 _K_ARG_CUT = 50.0  # K1 below exp(-50); beyond this the integrand is dead
 _MAX_PANELS = 4000  # per weight
 _WINDOWS = 6  # per transition
 _BLOCK_PANELS = 4096  # panels built at once
-_BLOCK_NODES = 2048  # kernel evaluations per block; bounds the K1 trapezoid temporaries
+_BLOCK_NODES = 16384  # kernel evaluations per block: few Python steps, temporaries of 128 KiB
 _TARGET = 1e-8
 
 
@@ -72,19 +76,25 @@ def truncation_thresholds(d: int, X: float, Y: float, eps: float = 0.05) -> tupl
 
 @dataclass(frozen=True)
 class _Panels:
-    """Quadrature panels [lo, hi] of the weights indexed by owner."""
+    """Quadrature panels of the weights indexed by owner.
+
+    Panels that coincide for several weights are stored once: panel i is
+    [lo[shape[i]], hi[shape[i]]].
+    """
 
     owner: np.ndarray
+    shape: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
     def refined(self, keep: np.ndarray) -> "_Panels":
         """The panels of the weights in `keep`, each split at its midpoint."""
         sel = keep[self.owner]
-        owner, lo, hi = self.owner[sel], self.lo[sel], self.hi[sel]
+        used, inverse = np.unique(self.shape[sel], return_inverse=True)
+        lo, hi = self.lo[used], self.hi[used]
         mid = 0.5 * (lo + hi)
-        return _Panels(np.repeat(owner, 2), np.column_stack([lo, mid]).ravel(),
-                       np.column_stack([mid, hi]).ravel())
+        return _Panels(np.repeat(self.owner[sel], 2), (2 * inverse[:, None] + np.arange(2)).ravel(),
+                       np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel())
 
 
 def _windows(cutoff: SmoothCutoff, c: np.ndarray,
@@ -121,56 +131,103 @@ def _groups(per_weight: np.ndarray) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _panels(root_lo: np.ndarray, root_hi: np.ndarray, counts: np.ndarray) -> _Panels:
-    """The panels of the windows from _windows, window by window.
+def _enumerate(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cell, j) of every panel, j = 0..counts[cell]-1 within each cell."""
+    cell = np.repeat(np.arange(counts.size), counts)
+    return cell, np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _distinct_panels(root_lo: np.ndarray, root_hi: np.ndarray,
+                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct panels of the windows from _windows, and each cell's first.
+
+    A cell (window, weight) is cut into its count of equal steps of sqrt(x),
+    which are equal steps of the kernel argument.  The cells of one window
+    with one count and the window's largest end (all of them but the K1
+    cells clipped at _K_ARG_CUT) cut the same panels; those are listed
+    once.  Returns the index of each cell's first panel, shaped like
+    counts, and the distinct panels' ends lo, hi.
+    """
+    n_windows = counts.shape[0]
+    top = counts.max(initial=0) + 1
+    shared = root_hi == root_hi.max(axis=1, keepdims=True, initial=0.0)
+    own = n_windows * top + np.arange(counts.size).reshape(counts.shape)  # a key per cell
+    key = np.where(shared, np.arange(n_windows)[:, None] * top + counts, own).ravel()
+    live = np.flatnonzero(counts.ravel() > 0)
+    _, rep, inverse = np.unique(key[live], return_index=True, return_inverse=True)
+    rep = live[rep]  # one cell standing for each distinct key
+    n = counts.ravel()[rep]
+    first = np.zeros(counts.size, dtype=np.int64)
+    first[live] = (np.cumsum(n) - n)[inverse]
+    which, j = _enumerate(n)
+    r0 = root_lo.ravel()[rep][which]
+    dr = ((root_hi.ravel()[rep] - root_lo.ravel()[rep]) / n)[which]
+    return first.reshape(counts.shape), (r0 + j * dr) ** 2, (r0 + (j + 1) * dr) ** 2
+
+
+def _panels(first: np.ndarray, counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Panels:
+    """The panels of a run of weights, window by window.
 
     In that order a block of consecutive panels holds similar kernel
     arguments (the Hankel expansion's term count follows its argument).
     """
-    n_weights = counts.shape[1]
-    counts = counts.ravel()
-    cell = np.repeat(np.arange(counts.size), counts)  # (window, weight) of each panel
-    j = np.arange(cell.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    # equal steps in sqrt(x) are equal steps of the kernel argument
-    r0 = root_lo.ravel()[cell]
-    dr = ((root_hi - root_lo).ravel() / np.maximum(counts, 1))[cell]
-    return _Panels(cell % n_weights, (r0 + j * dr) ** 2, (r0 + (j + 1) * dr) ** 2)
+    cell, j = _enumerate(counts.ravel())
+    return _Panels(cell % counts.shape[1], first.ravel()[cell] + j, lo, hi)
 
 
-def _integrate(panels: _Panels, c: np.ndarray, kernel, cutoff: SmoothCutoff,
-               order: int) -> np.ndarray:
-    """int w'(x) sqrt(x) kernel(c sqrt(x)) dx per weight, over its panels."""
-    nodes, weights = gauss_legendre(order)
-    out = np.zeros(len(c))
-    step = max(1, _BLOCK_NODES // order)
+def _node_table(lo: np.ndarray, hi: np.ndarray,
+                cutoff: SmoothCutoff) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(x) at the rule's nodes on each panel [lo, hi], and w'(x) sqrt(x) times the half width.
+
+    Neither depends on the weight: each is evaluated once per distinct panel.
+    """
+    nodes, _, _ = gauss_kronrod()
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes[None, :]
+    root = np.sqrt(x)
+    factor = cutoff.derivative(x.ravel()).reshape(x.shape) * root * half[:, None]
+    return root, factor
+
+
+def _integrate(panels: _Panels, table: tuple[np.ndarray, np.ndarray], c: np.ndarray,
+               kernel) -> np.ndarray:
+    """int w'(x) sqrt(x) kernel(c sqrt(x)) dx per weight, over its panels.
+
+    Column 0 by the 25-point Kronrod rule, column 1 by the 12-point Gauss
+    rule on the same nodes.
+    """
+    root, factor = table
+    _, kronrod, gauss = gauss_kronrod()
+    rules = np.column_stack([kronrod, gauss])
+    out = np.zeros((len(c), 2))
+    step = max(1, _BLOCK_NODES // kronrod.size)
     for s in range(0, panels.owner.size, step):
-        owner = panels.owner[s:s + step]
-        lo, hi = panels.lo[s:s + step], panels.hi[s:s + step]
-        half = 0.5 * (hi - lo)
-        x = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes[None, :]
-        root = np.sqrt(x)
-        z = (c[owner][:, None] * root).ravel()
-        f = cutoff.derivative(x.ravel()) * root.ravel() * kernel(z)
-        out += np.bincount(owner, weights=half * (f.reshape(x.shape) @ weights), minlength=len(c))
+        owner, shape = panels.owner[s:s + step], panels.shape[s:s + step]
+        z = c[owner][:, None] * root[shape]
+        sums = (factor[shape] * kernel(z.ravel()).reshape(z.shape)) @ rules
+        for col in range(2):
+            out[:, col] += np.bincount(owner, weights=sums[:, col], minlength=len(c))
     return out
 
 
-def _estimate(panels: _Panels, c: np.ndarray, by_parts: np.ndarray, kernel,
-              cutoff: SmoothCutoff, scale: float, target: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _estimate(panels: _Panels, table: tuple[np.ndarray, np.ndarray], c: np.ndarray,
+              by_parts: np.ndarray, kernel, cutoff: SmoothCutoff, scale: float,
+              target: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrals, error estimates and panels used, for the weights of `panels`.
 
-    The 24-point values are checked against the 16-point ones; weights
-    above target are refined once and checked against their first value.
+    The Kronrod values are checked against the Gauss ones on the same
+    nodes; weights above target are refined once and checked against
+    their first value.
     """
-    coarse = by_parts * _integrate(panels, c, kernel, cutoff, 16)
-    fine = by_parts * _integrate(panels, c, kernel, cutoff, 24)
+    fine, coarse = (by_parts[:, None] * _integrate(panels, table, c, kernel)).T
     err = np.abs(fine - coarse) / np.maximum(np.abs(fine), scale)
     redo = err > target
     used = panels.owner.size
     if redo.any():
         panels = panels.refined(redo)
         used += panels.owner.size // 2
-        refined = by_parts * _integrate(panels, c, kernel, cutoff, 24)
+        table = _node_table(panels.lo, panels.hi, cutoff)
+        refined = by_parts * _integrate(panels, table, c, kernel)[:, 0]
         err[redo] = (np.abs(refined - fine) / np.maximum(np.abs(refined), scale))[redo]
         fine[redo] = refined[redo]
     return fine, err, used
@@ -205,13 +262,16 @@ def weight_u(d: int, n, sign: int, cutoff: SmoothCutoff, target: float = _TARGET
         kernel, prefactor = bessel_y1, -2.0 * math.pi / d
         by_parts = -2.0 / c  # int w Y0 = -(2/c) int w' sqrt(x) Y1
     root_lo, root_hi, counts = _windows(cutoff, c, oscillatory=sign < 0)
+    first, lo, hi = _distinct_panels(root_lo, root_hi, counts)
+    table = _node_table(lo, hi, cutoff)
     scale = 1e-10 * cutoff.X / d  # floor: 1e-10 of the flat-regime magnitude
     fine = np.zeros(len(c))
     err = np.zeros(len(c))
     n_panels = 0
     for g in _groups(counts.sum(axis=0)):
-        panels = _panels(root_lo[:, g], root_hi[:, g], counts[:, g])
-        fine[g], err[g], used = _estimate(panels, c[g], by_parts[g], kernel, cutoff, scale, target)
+        panels = _panels(first[:, g], counts[:, g], lo, hi)
+        fine[g], err[g], used = _estimate(panels, table, c[g], by_parts[g], kernel, cutoff,
+                                          scale, target)
         n_panels += used
     value = prefactor * fine
     if np.ndim(n) == 0:

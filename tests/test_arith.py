@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divprog.arith import (
-    MultiplicativeSieveTables,
     divisors,
     euler_phi,
     factorize,
@@ -105,19 +104,6 @@ def test_multiplicative_function_identities():
         ds = divisors(n)
         assert sum(mobius(d) for d in ds) == (1 if n == 1 else 0)
         assert sum(euler_phi(d) for d in ds) == n
-
-
-def test_sieve_tables_match_scalar_routes():
-    limit = 3000
-    tab = MultiplicativeSieveTables.build(limit)
-    for n in range(1, limit + 1):
-        assert tab.mobius[n] == mobius(n)
-        assert tab.phi[n] == euler_phi(n)
-    # smallest prime factor really is the smallest
-    for n in range(2, limit + 1):
-        p = tab.spf[n]
-        assert n % p == 0 and is_prime(int(p))
-        assert all(n % r != 0 for r in range(2, p))
 
 
 # ---------------------------------------------------------------- Ramanujan

@@ -9,6 +9,9 @@ from divprog.bessel import bessel_k0, bessel_k1, bessel_y0, bessel_y1, y0_envelo
 
 mpmath.mp.dps = 30
 
+# K0, K1: Chebyshev (2, 5] -> (5, 17], then the asymptotic bands
+K_SWITCHOVERS = (5.0, 17.0, 25.0, 50.0, 100.0, 200.0)
+
 
 def test_spot_values_twenty_digits():
     assert abs(bessel_k0(1.0) - 0.42102443824070834) < 1e-15
@@ -18,8 +21,8 @@ def test_spot_values_twenty_digits():
 def test_k0_against_mpmath_sweep():
     xs = np.concatenate([
         np.linspace(0.01, 1.99, 40),
-        np.linspace(2.0, 8.0, 40),       # integral route
-        np.linspace(8.0, 120.0, 60),
+        np.linspace(2.0, 8.0, 40),       # Chebyshev routes (2, 5] and (5, 17]
+        np.linspace(8.0, 120.0, 60),     # Chebyshev to 17, then asymptotic bands
         np.linspace(120.0, 699.0, 30),
     ])
     for x in xs:
@@ -71,6 +74,9 @@ def test_route_switchovers_are_continuous():
         lo = bessel_y0(cut - 1e-9) if cut > 2 else bessel_k0(cut - 1e-9)
         hi = bessel_y0(cut + 1e-9) if cut > 2 else bessel_k0(cut + 1e-9)
         assert abs(hi - lo) < 1e-8, cut
+    for cut in K_SWITCHOVERS:  # relative: K0 is tiny at the far bands
+        lo, hi = bessel_k0(cut - 1e-9), bessel_k0(cut + 1e-9)
+        assert abs(hi - lo) < 1e-8 * lo, cut
 
 
 def test_vectorized_matches_scalar():
@@ -107,8 +113,8 @@ def test_order_one_spot_values():
 def test_k1_against_mpmath_sweep():
     xs = np.concatenate([
         np.linspace(0.01, 1.99, 40),
-        np.linspace(2.0, 8.0, 40),       # integral route
-        np.linspace(8.0, 120.0, 60),
+        np.linspace(2.0, 8.0, 40),       # Chebyshev routes (2, 5] and (5, 17]
+        np.linspace(8.0, 120.0, 60),     # Chebyshev to 17, then asymptotic bands
         np.linspace(120.0, 699.0, 30),
     ])
     for x in xs:
@@ -141,6 +147,9 @@ def test_order_one_against_scipy_as_second_oracle():
 
 def test_order_one_route_switchovers_are_continuous():
     assert abs(bessel_k1(2.0 + 1e-9) - bessel_k1(2.0 - 1e-9)) < 1e-8
+    for cut in K_SWITCHOVERS:
+        lo, hi = bessel_k1(cut - 1e-9), bessel_k1(cut + 1e-9)
+        assert abs(hi - lo) < 1e-8 * lo, cut
     for cut in (8.0, 17.0):
         assert abs(bessel_y1(cut + 1e-9) - bessel_y1(cut - 1e-9)) < 1e-8, cut
 
