@@ -115,4 +115,110 @@ from .voronoi import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # arith
+    "divisors",
+    "euler_phi",
+    "factorize",
+    "is_prime",
+    "mobius",
+    "mod_inverse",
+    "primitive_root",
+    "ramanujan_sum",
+    "tau_of",
+    # bessel
+    "EULER_GAMMA",
+    "bessel_k0",
+    "bessel_k1",
+    "bessel_y0",
+    "bessel_y1",
+    "y0_envelope",
+    # bilinear
+    "BilinearInstance",
+    "ExponentFit",
+    "Measurement",
+    "bilinear_bound_general",
+    "bilinear_bound_initial_interval",
+    "bilinear_sum",
+    "bilinear_sum_unweighted_a",
+    "exponent_fit",
+    "initial_interval_conditions",
+    # characters
+    "CharacterTable",
+    "character_table",
+    "congruence_bound_report",
+    "eta_factor",
+    "fourth_moment",
+    "fourth_moment_brute",
+    "gauss_sum",
+    "multiplicative_congruence_count",
+    "multiplicative_congruence_count_brute",
+    # cutoff
+    "SmoothCutoff",
+    "SmoothPartition",
+    "smooth_partition",
+    "smoothstep",
+    # errors
+    "ConfigInvalid",
+    "InsufficientSpread",
+    "IntervalOutOfRange",
+    "InvalidModulus",
+    "InvalidRange",
+    "NonReducedResidue",
+    "NotInvertible",
+    "NotPrimitive",
+    "NotPrime",
+    "SupportTooLarge",
+    "WindowTooLarge",
+    # kloosterman
+    "KloostermanEvaluator",
+    "check_weil",
+    "kloosterman",
+    "kloosterman_batch_over_a",
+    "kloosterman_table",
+    # mainterm
+    "AveragedErrors",
+    "ErrorTermRecord",
+    "ErrorVector",
+    "MainTermPolynomial",
+    "averaged_errors",
+    "error_term",
+    "error_vector",
+    "exceptional_set",
+    "interval_residues",
+    "main_term",
+    "main_term_coprime",
+    "main_term_vector",
+    # poisson
+    "BumpFunction",
+    "PoissonCheck",
+    "ProductTestFunction",
+    "TwistedPoissonCheck",
+    "poisson_tau",
+    "poisson_tau_twisted",
+    # sweeps
+    "ExperimentConfig",
+    "SweepResult",
+    "choose_y",
+    "emit_report",
+    "exceptional_count_bound",
+    "interval_abs_error_bound",
+    "interval_signed_error_bound",
+    "run_theorem_sweep",
+    "set_abs_error_bound",
+    # tausieve
+    "ProgressionSumVector",
+    "TauTable",
+    "divisor_sum_progressions",
+    "progression_sum_single",
+    "sieve_tau",
+    "total_divisor_sum",
+    # voronoi
+    "VoronoiErrorTerm",
+    "WeightValue",
+    "error_budget",
+    "truncation_thresholds",
+    "voronoi_error_term",
+    "voronoi_error_terms",
+    "weight_u",
+]

@@ -14,6 +14,7 @@ so r_d(0) = phi(d).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -93,6 +94,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization as a sorted list of (prime, exponent) pairs."""
     if n <= 0:
         raise InvalidModulus(f"can only factor positive integers, got {n}")
+    return list(_factorize(n))
+
+
+# divisors, mobius and ramanujan_sum factor the same numbers over and over:
+# one main_term at q = 720720 makes 601 calls on its 240 divisors, and every
+# further residue repeats them
+@functools.lru_cache(maxsize=4096)
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
@@ -113,7 +122,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
             continue
         g = _pollard_rho(m, rng)
         stack += [g, m // g]
-    return sorted(out.items())
+    return tuple(sorted(out.items()))
 
 
 def divisors(n: int) -> list[int]:

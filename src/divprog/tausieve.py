@@ -3,13 +3,18 @@
 tau(n) counts divisors.  The sieve marks a window [start, start+len) by
 walking divisors d and bumping every multiple; symmetry d <-> n/d means we
 only walk d <= sqrt(n), add 2 per pair, and correct perfect squares by 1.
-Everything is exact int64 / uint32.
+Everything is exact integer arithmetic.  This divisor walk, sieve_tau,
+gives tau(n) to the Voronoi expansion's dual sum and is the oracle the
+tests fold by n mod q against the naive route below.
 
 S(X; a, q) = sum of tau(n) over n <= X, n = a mod q comes in three exact
 routes that the tests play against each other:
 
-  * naive: sieve tau on [1, X] in cache-sized segments whose length is a
-    multiple of q, and sum each segment's (rows, q) view down its columns,
+  * naive: tau(2^k m) = (k + 1) tau(m) for odd m, so only odd m <= X are
+    sieved, in cache-sized segments of the index i = (m - 1) / 2, walking
+    odd divisors only.  Column sums of tau by i mod q / gcd(2, q) run along;
+    each time the sieve passes X >> k (k = floor(log2 X) down to 0) they are
+    folded, times k + 1, into the residues 2^k m mod q,
   * hyperbola: count lattice points dm <= X with dm = a mod q per residue
     class in O(sqrt(X) * q) without materializing tau,
   * single: same counting for one residue only, O(sqrt(X)) modular solves.
@@ -30,7 +35,9 @@ from .errors import InvalidRange, WindowTooLarge
 
 DEFAULT_MEMORY_BUDGET = 2 * 2**30  # bytes
 _WINDOW_CAP = 2**40  # windows must sit below this
-_SEGMENT = 1 << 19  # target tau entries per naive-route segment (2 MiB of uint32)
+_SEGMENT = 1 << 19  # odd entries per naive-route segment (1 MiB of uint16)
+_FOLD_BLOCK = 1 << 14  # residues per naive-route fold step (128 KiB per int64 temporary)
+_FOLD_Q_MAX = math.isqrt(2**63 - 1)  # naive-route fold products stay in int64
 
 
 @dataclass(frozen=True)
@@ -95,23 +102,93 @@ class ProgressionSumVector:
         return int(self.sums.sum())
 
 
-def _column_sums(values: np.ndarray, q: int) -> np.ndarray:
-    """Sums of values[i] over i = c mod q, for c = 0..q-1, in int64."""
-    full = len(values) - len(values) % q
-    cols = values[:full].reshape(-1, q).sum(axis=0, dtype=np.int64)
-    cols[: len(values) - full] += values[full:]
-    return cols
+def _add_columns(cols: np.ndarray, values: np.ndarray, start: int) -> None:
+    """cols[(start + t) % len(cols)] += values[t] for every t, in int64."""
+    P = len(cols)
+    o = start % P
+    head = min(len(values), -start % P)
+    cols[o : o + head] += values[:head]
+    rest = values[head:]
+    full = len(rest) - len(rest) % P
+    if full:
+        cols += rest[:full].reshape(-1, P).sum(axis=0, dtype=np.int64)
+    cols[: len(rest) - full] += rest[full:]
+
+
+def _sieve_odd(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """tau(m) at the odd m = 2i + 1 for lo <= i < hi, written into buf[: hi - lo]."""
+    n = hi - lo
+    tau = buf[:n]
+    tau.fill(0)
+    m_lo, m_hi = 2 * lo + 1, 2 * hi - 1
+    for d in range(1, math.isqrt(m_hi) + 1, 2):
+        # least odd cofactor e > d with d*e >= m_lo; odd multiples of d sit
+        # 2d apart, which is d apart in the index i
+        e = -(-max(m_lo, d * (d + 2)) // d) | 1
+        first = (d * e - 1) // 2 - lo
+        if first < n:
+            tau[first::d] += 2
+    e = np.arange(math.isqrt(m_lo - 1) + 1 | 1, math.isqrt(m_hi) + 1, 2, dtype=np.int64)
+    tau[(e * e - 1) // 2 - lo] += 1
+    return tau
+
+
+def _fold_band(S: np.ndarray, cols: np.ndarray, k: int) -> None:
+    """S[2^k (2j + 1) mod q] += (k + 1) * cols[j], over the j < len(cols).
+
+    With g = gcd(2^k, q) and q_g = q / g, the residue is g * (c (2j + 1) mod q_g)
+    for the unit c = 2^k / g mod q_g, and it depends on j only mod
+    P_g = q_g / gcd(2, q_g), on which it is injective.  So cols is first summed
+    by j mod P_g and then added at distinct positions.
+    """
+    q = len(S)
+    g = math.gcd(1 << k, q)
+    qg = q // g
+    Pg = qg // math.gcd(2, qg)
+    if len(cols) > Pg:
+        w = np.zeros(Pg, dtype=np.int64)
+        _add_columns(w, cols, 0)
+    else:
+        w = cols
+    c = pow(2, k, q) // g  # 2^k mod q = g * (c mod q_g)
+    for j0 in range(0, len(w), _FOLD_BLOCK):
+        block = w[j0 : j0 + _FOLD_BLOCK]
+        u = np.arange(2 * j0 + 1, 2 * (j0 + len(block)), 2, dtype=np.int64) % qg
+        S[g * (c * u % qg)] += (k + 1) * block
 
 
 def _progressions_naive(X: int, q: int, memory_budget: int) -> np.ndarray:
-    # Segments are whole multiples of q, so every segment starts at n = 1 mod q
-    # and column c of each segment holds n = 1 + c mod q.  Each segment's tau
-    # is a temporary, freed before the next one is sieved.
-    seg = q * max(1, min(_SEGMENT, memory_budget // 4) // q)
-    cols = np.zeros(q, dtype=np.int64)
-    for start in range(1, X + 1, seg):
-        cols += _column_sums(sieve_tau(start, min(seg, X - start + 1), memory_budget).values, q)
-    return np.roll(cols, 1)
+    # tau(2^k m) = (k + 1) tau(m) for odd m, so S(X; a, q) sums (k + 1) tau(m)
+    # over odd m <= X >> k with 2^k m = a mod q.  Sieve tau over the odd
+    # m = 2i + 1 only, in increasing order, and keep cols[j], the sum of tau(m)
+    # over the i = j mod P seen so far (m mod q depends only on i mod P).  Once
+    # every odd m <= X >> k is in, fold (k + 1) cols into S; the bands
+    # (X >> (k+1), X >> k] are crossed for k = floor(log2 X) down to 0.
+    # Exactness: S and cols are int64, and every partial sum is below
+    # sum_{n<=X} tau(n) < 2^45 for X < 2^40.  The fold multiplies a residue
+    # below q by 2^k mod q (taken with pow), so its products stay below
+    # q^2 < 2^63 for q <= _FOLD_Q_MAX (about 3e9, whose int64 sums alone
+    # take 24 GB); larger q are refused.
+    if 8 * q > memory_budget or q > _FOLD_Q_MAX:
+        raise WindowTooLarge(f"q = {q} needs {8 * q} bytes of sums; the budget is {memory_budget}")
+    P = q // math.gcd(2, q)
+    S = np.zeros(q, dtype=np.int64)
+    cols = np.zeros(P, dtype=np.int64)
+    n_odd = (X + 1) // 2
+    # tau(n) <= 6720 for n < 2^40, so uint16 holds every tau value
+    buf = np.empty(min(_SEGMENT, memory_budget // 2, n_odd), dtype=np.uint16)
+    k = X.bit_length() - 1
+    for lo in range(0, n_odd, len(buf)):
+        hi = min(lo + len(buf), n_odd)
+        tau = _sieve_odd(buf, lo, hi)
+        done = lo
+        # band k ends once the odd m <= X >> k are in
+        while k >= 0 and (end := ((X >> k) + 1) // 2) <= hi:
+            _add_columns(cols, tau[done - lo : end - lo], done)
+            _fold_band(S, cols[: min(P, end)], k)
+            done, k = end, k - 1
+        _add_columns(cols, tau[done - lo :], done)
+    return S
 
 
 def _progressions_hyperbola(X: int, q: int) -> np.ndarray:
@@ -132,6 +209,16 @@ def _progressions_hyperbola(X: int, q: int) -> np.ndarray:
     return S
 
 
+def _hyperbola_max_q(X: int) -> int:
+    """Largest q for which method="auto" takes the hyperbola route (may be < 1)."""
+    # Fitted costs on 2 cores with numpy 2.4: hyperbola makes isqrt(X) passes
+    # over q buckets at about 1.5e-8 s per bucket plus a fixed 700 buckets'
+    # worth per pass; naive costs 5-16 ns per n <= X, the per-divisor loop
+    # growing with isqrt(X).  The two took equal time at q + 700 near X/5300
+    # (X = 4e6), X/7700 (1e7), X/8100 (3e7) and X/9600 (1e8).
+    return X // 8000 - 700
+
+
 def divisor_sum_progressions(
     X: int,
     q: int,
@@ -146,13 +233,7 @@ def divisor_sum_progressions(
     if X >= _WINDOW_CAP:
         raise InvalidRange(f"need X < {_WINDOW_CAP}, got {X}")
     if method == "auto":
-        # Fitted costs: hyperbola makes isqrt(X) passes over q buckets at about
-        # 1.2e-8 s per bucket plus a fixed 700 buckets' worth per pass; naive
-        # costs about 2x that per sieved entry (1.3x at X = 1e5, 3x at 3e7, as
-        # the sieve's per-divisor loop grows with isqrt(X)).  On 2 cores with
-        # numpy 2.4 this picks the faster route on every rung q ~ X^(2/3) and
-        # on (1e7, 463), where hyperbola wins about 10x.
-        method = "hyperbola" if math.isqrt(X) * (q + 700) <= 2 * X else "naive"
+        method = "hyperbola" if q <= _hyperbola_max_q(X) else "naive"
     if method == "naive":
         sums = _progressions_naive(X, q, memory_budget)
     elif method == "hyperbola":

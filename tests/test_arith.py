@@ -88,6 +88,15 @@ def test_factorize_edge():
     assert factorize(999966000289) == [(999983, 2)]  # prime square
 
 
+def test_factorize_returns_a_fresh_list():
+    # factorizations are cached; a caller's edits must not reach the cache
+    fac = factorize(720720)
+    fac.append((17, 1))
+    fac[0] = (2, 9)
+    assert factorize(720720) == [(2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1)]
+    assert factorize(720720) is not factorize(720720)
+
+
 def test_divisors_against_definition():
     for n in list(range(1, 200)) + [720, 5040, 2**10 * 3**4]:
         ds = divisors(n)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,10 +117,11 @@ def _assert_routes_agree(X, q):
 
 
 def test_routes_agree_across_auto_boundary():
-    # auto switches to naive once isqrt(X) * (q + 700) > 2 X; check the q on
-    # either side of that switch, so the route choice cannot change a result
-    for X in (10**6, 3 * 10**6 + 17):
-        q_switch = 2 * X // math.isqrt(X) - 700  # largest q that takes hyperbola
+    # check the q on either side of auto's switch, so the route choice cannot
+    # change a result
+    for X in (6 * 10**6 + 17, 10**7):
+        q_switch = tausieve._hyperbola_max_q(X)  # largest q that takes hyperbola
+        assert q_switch >= 2, X
         for q in (q_switch - 1, q_switch, q_switch + 1, q_switch + 2):
             _assert_routes_agree(X, q)
 
@@ -148,3 +147,62 @@ def test_progressions_reject_x_at_window_cap():
             divisor_sum_progressions(cap, 7, method=method)
         with pytest.raises(InvalidRange):
             divisor_sum_progressions(cap + 12345, cap, method=method)
+
+
+def _assert_naive_route_right(X, q, **kwargs):
+    # against hyperbola, the row sum and the single route on a few residues
+    naive = divisor_sum_progressions(X, q, method="naive", **kwargs).sums
+    hyper = divisor_sum_progressions(X, q, method="hyperbola").sums
+    assert np.array_equal(naive, hyper), (X, q)
+    assert int(naive.sum()) == total_divisor_sum(X), (X, q)
+    for a in {0, 1 % q, q // 2, q - 1}:
+        assert naive[a] == progression_sum_single(X, q, a), (X, q, a)
+
+
+def test_naive_band_edges_and_even_moduli():
+    # X = 2^k m - 1, 2^k m, 2^k m + 1 put X >> k on both sides of a band end;
+    # q = 2^s and 3 * 2^s take every gcd(2^k, q) case of the fold
+    qs = [2**s for s in range(7)] + [3 * 2**s for s in range(6)]
+    Xs = {x for k in range(1, 13) for m in (1, 3, 5) for x in (2**k * m - 1, 2**k * m, 2**k * m + 1)}
+    for X in sorted(Xs):
+        for q in qs:
+            if q <= X:
+                _assert_naive_route_right(X, q)
+
+
+def test_naive_tiny_x():
+    for X in range(1, 9):
+        for q in range(1, X + 1):
+            _assert_naive_route_right(X, q)
+
+
+def test_naive_odd_segment_and_fold_block_edges(monkeypatch):
+    # 64 odd entries per segment end segments at m = 128 j; fold blocks of 16
+    monkeypatch.setattr(tausieve, "_SEGMENT", 64)
+    monkeypatch.setattr(tausieve, "_FOLD_BLOCK", 16)
+    for j in (1, 2, 5, 16):
+        for X in (128 * j - 2, 128 * j - 1, 128 * j, 128 * j + 1, 128 * j + 2):
+            for q in (1, 2, 3, 4, 7, 16, 48, 63, 64, 65, 100, 128, 200):
+                if q <= X:
+                    _assert_naive_route_right(X, q)
+
+
+def test_naive_small_memory_budget():
+    for q in (1, 7, 12, 97):
+        for budget in (8 * q, 8 * q + 2, 1000):
+            _assert_naive_route_right(3001, q, memory_budget=budget)
+    with pytest.raises(WindowTooLarge):
+        divisor_sum_progressions(3001, 97, method="naive", memory_budget=8 * 97 - 1)
+
+
+def test_naive_route_matches_divisor_walk():
+    # sieve_tau over every n <= X, folded by n mod q; hyperbola is too slow at
+    # q = 720720 = 2^4 * 45045, so the single route checks a few residues too
+    cases = [(X, q) for X in (99_999, 100_000, 131_071, 131_073) for q in (463, 1024, 2153, 3 * 2**10, 9973)]
+    cases += [(X, 720720) for X in (720720, 720721, 2 * 720720 - 1, 2 * 720720 + 1)]
+    for X, q in cases:
+        ref = np.bincount(np.arange(1, X + 1) % q, weights=sieve_tau(1, X).values, minlength=q)
+        naive = divisor_sum_progressions(X, q, method="naive").sums
+        assert np.array_equal(naive, ref), (X, q)
+        for a in (0, 1, 16, 45045 % q, q // 2, q - 1):
+            assert naive[a] == progression_sum_single(X, q, a), (X, q, a)
