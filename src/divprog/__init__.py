@@ -87,7 +87,6 @@ from .poisson import (
 from .sweeps import (
     ExperimentConfig,
     SweepResult,
-    choose_y,
     emit_report,
     exceptional_count_bound,
     interval_abs_error_bound,
@@ -199,7 +198,6 @@ __all__ = [
     # sweeps
     "ExperimentConfig",
     "SweepResult",
-    "choose_y",
     "emit_report",
     "exceptional_count_bound",
     "interval_abs_error_bound",

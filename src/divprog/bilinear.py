@@ -10,10 +10,9 @@ Two evaluation routes:
   * brute force through the Kloosterman matrix, chunked over the unit
     group so memory stays bounded,
   * for alpha identically 1, the collapsed kernel
-        sum_{x in (Z/d)^*} T(x) G_I(xbar),
+        sum_{x in (Z/d)^*} T(x) G_I(xbar),   G_I(y) = sum_{a in I} e_d(ay),
     where T(x) = sum_n nu_n e_d(nx) comes from one length-d inverse DFT
-    and G_I(y) = sum_{a in I} e_d(ay) is a geometric ratio with a guarded
-    denominator (G_I = A exactly when y = 0).
+    and sum_x T(x) e_d(a xbar), for every a at once, from one more.
 
 The reference bounds these sums are measured against:
 
@@ -97,22 +96,8 @@ def bilinear_sum(inst: BilinearInstance) -> complex:
     return complex(total)
 
 
-def _geometric_interval_sum(d: int, B: int, A: int, y: np.ndarray, ev) -> np.ndarray:
-    """G_I(y) = sum_{a=B+1}^{B+A} e_d(ay), vectorized over integer y."""
-    w = ev._phases(y % d)
-    num = ev._phases(A * y % d) - 1.0
-    den = w - 1.0
-    first = ev._phases((B + 1) * y % d)
-    out = np.empty(len(y), dtype=np.complex128)
-    sing = np.abs(den) < 1e-9
-    ok = ~sing
-    out[ok] = first[ok] * num[ok] / den[ok]
-    out[sing] = A
-    return out
-
-
 def bilinear_sum_unweighted_a(inst: BilinearInstance) -> complex:
-    """Fast route for alpha == 1: one DFT plus a pass over the unit group."""
+    """Fast route for alpha == 1: two length-d DFTs."""
     if not np.allclose(inst.alpha, 1.0, atol=1e-12):
         raise ValueError("fast path requires alpha identically 1")
     ev = _evaluator(inst.d)
@@ -123,8 +108,7 @@ def bilinear_sum_unweighted_a(inst: BilinearInstance) -> complex:
     n_vals = np.arange(M + 1, M + N + 1, dtype=np.int64) % d
     np.add.at(padded, n_vals, inst.nu)
     T = d * np.fft.ifft(padded)  # T[x] = sum_n nu_n e_d(n x)
-    G = _geometric_interval_sum(d, B, A, ev.inverses, ev)
-    return complex(np.sum(T[ev.units] * G))
+    return complex(ev.over_inverses(T[ev.units])[B + 1 : B + A + 1].sum())
 
 
 def bilinear_bound_initial_interval(A: int, N: int, p: int) -> float:

@@ -30,7 +30,7 @@ from . import bilinear as bl
 from . import sweeps
 from .characters import congruence_bound_report, fourth_moment, multiplicative_congruence_count
 from .errors import ConfigInvalid
-from .kloosterman import check_weil, kloosterman, kloosterman_batch_over_a
+from .kloosterman import check_weil, kloosterman_batch_over_a
 from .mainterm import error_vector, exceptional_set, interval_residues
 from .poisson import BumpFunction, ProductTestFunction, poisson_tau, poisson_tau_twisted
 from .tausieve import divisor_sum_progressions, total_divisor_sum
@@ -67,16 +67,21 @@ def _residue_set(text: str, q: int) -> list[int]:
         B, A = _parse_pair(text, "--set")
     except ValueError as exc:
         raise ConfigInvalid(f"--set: neither a file nor 'B,A': {text!r}") from exc
-    residues, _ = interval_residues(q, B, A, strict=False)
+    residues, _ = interval_residues(q, B, A)
     return sorted(set(residues))
 
 
-def _out_path(args, default_name: str) -> Path:
+def _write_rows(args, rows: list[dict], default_name: str) -> int:
+    """Write rows to --out, or to default_name under --out-dir; print the path, return exit 0."""
     if getattr(args, "out", None):
-        return Path(args.out)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / default_name
+        path = Path(args.out)
+    else:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / default_name
+    sweeps.emit_report(rows, args.format, path, seed=args.seed)
+    print(path)
+    return 0
 
 
 def _cmd_tau(args) -> int:
@@ -90,10 +95,7 @@ def _cmd_tau(args) -> int:
             f"internal check failed: S(X; a, q) summed over a is {vec.total()}, "
             f"not sum_(n <= X) tau(n) = {total_divisor_sum(args.x)}"
         )
-    path = _out_path(args, f"tau_x{args.x}_q{args.q}.csv")
-    sweeps.emit_report(rows, args.format, path, seed=args.seed)
-    print(path)
-    return 0
+    return _write_rows(args, rows, f"tau_x{args.x}_q{args.q}.csv")
 
 
 def _cmd_errors(args) -> int:
@@ -103,19 +105,13 @@ def _cmd_errors(args) -> int:
         {"a": a, "S": int(vec.S[a]), "M": float(vec.M[a]), "R": float(vec.R[a])}
         for a in residues
     ]
-    path = _out_path(args, f"errors_x{args.x}_q{args.q}.csv")
-    sweeps.emit_report(rows, args.format, path, seed=args.seed)
-    print(path)
-    return 0
+    return _write_rows(args, rows, f"errors_x{args.x}_q{args.q}.csv")
 
 
 def _cmd_exceptional(args) -> int:
     members = exceptional_set(args.x, args.p, args.kappa)
     rows = [{"a": a} for a in members]
-    path = _out_path(args, f"exceptional_x{args.x}_p{args.p}.csv")
-    sweeps.emit_report(rows, args.format, path, seed=args.seed)
-    print(path)
-    return 0
+    return _write_rows(args, rows, f"exceptional_x{args.x}_p{args.p}.csv")
 
 
 def _cmd_kloosterman(args) -> int:
@@ -124,10 +120,7 @@ def _cmd_kloosterman(args) -> int:
         a_vals = list(range(lo, hi + 1))
         ks = kloosterman_batch_over_a(args.d, args.m, a_vals)
         rows = [{"a": a, "K": float(k)} for a, k in zip(a_vals, ks)]
-        path = _out_path(args, f"kloosterman_d{args.d}_m{args.m}.csv")
-        sweeps.emit_report(rows, args.format, path, seed=args.seed)
-        print(path)
-        return 0
+        return _write_rows(args, rows, f"kloosterman_d{args.d}_m{args.m}.csv")
     if args.n is None:
         raise ConfigInvalid("kloosterman: need --n or --batch-a")
     w = check_weil(args.d, args.m, args.n)
@@ -189,10 +182,7 @@ def _cmd_voronoi_check(args) -> int:
             "residual": exact - r.approx_R,
             "budget": r.budget,
         })
-    path = _out_path(args, f"voronoi_x{args.x}_q{q}.csv")
-    sweeps.emit_report(rows, args.format, path, seed=args.seed)
-    print(path)
-    return 0
+    return _write_rows(args, rows, f"voronoi_x{args.x}_q{q}.csv")
 
 
 def _cmd_poisson_check(args) -> int:

@@ -27,11 +27,11 @@ class InvalidRange(ValueError):
 
 
 class WindowTooLarge(ValueError):
-    """A sieve window or table would exceed the configured memory budget."""
+    """A sieve window or table would exceed the memory budget."""
 
 
 class NonReducedResidue(ValueError):
-    """A residue set member shares a factor with the modulus (strict mode)."""
+    """A residue handed in as reduced shares a factor with the modulus."""
 
 
 class IntervalOutOfRange(ValueError):

@@ -150,10 +150,16 @@ class KloostermanEvaluator:
             return out
         if method != "fft":
             raise ValueError(f"unknown method {method!r}")
+        return self.over_inverses(self._phases(m % self.d * self.units % self.d)).real[a_arr]
+
+    def over_inverses(self, t: np.ndarray) -> np.ndarray:
+        """sum_x t[i] e_d(a xbar) for every a in [0, d), x = units[i]; d >= 2.
+
+        t is scattered to the inverses and summed by one length-d inverse DFT.
+        """
         g = np.zeros(self.d, dtype=np.complex128)
-        g[self.inverses] = self._phases(m % self.d * self.units % self.d)
-        K_all = (self.d * np.fft.ifft(g)).real
-        return K_all[a_arr]
+        g[self.inverses] = t
+        return self.d * np.fft.ifft(g)
 
 
 def kloosterman(d: int, m: int, n: int) -> float:

@@ -19,8 +19,8 @@ Averages over a residue set A of reduced residues:
     D(X; A, q) = sum |R|,   E(X; A, q) = sum R,
 
 and the exceptional set collects the a in [1, p-1] whose signed R reaches
-X^(1/3 - kappa).  Interval sets mean {B+1, ..., B+A} reduced mod q; strict
-mode rejects non-reduced members, lenient mode drops and counts them.
+X^(1/3 - kappa).  Interval sets mean {B+1, ..., B+A} reduced mod q, with
+the non-reduced members dropped and counted.
 """
 
 from __future__ import annotations
@@ -148,17 +148,16 @@ class ErrorVector:
     R: np.ndarray
 
 
-def error_vector(X: int, q: int, method: str = "auto") -> ErrorVector:
-    S = divisor_sum_progressions(X, q, method=method).sums
+def error_vector(X: int, q: int) -> ErrorVector:
+    S = divisor_sum_progressions(X, q).sums
     M = main_term_vector(X, q)
     return ErrorVector(X=X, q=q, S=S, M=M, R=S - M)
 
 
-def interval_residues(q: int, B: int, A: int, strict: bool = True) -> tuple[list[int], int]:
+def interval_residues(q: int, B: int, A: int) -> tuple[list[int], int]:
     """{B+1, ..., B+A} reduced mod q, filtered to reduced residues.
 
-    Returns (residues, dropped).  strict raises on the first non-reduced
-    member instead of dropping.
+    Returns (residues, dropped), dropped counting the non-reduced members.
     """
     if A < 1 or B < 0:
         raise InvalidRange(f"need A >= 1 and B >= 0, got A = {A}, B = {B}")
@@ -168,8 +167,6 @@ def interval_residues(q: int, B: int, A: int, strict: bool = True) -> tuple[list
         a = n % q
         if math.gcd(a, q) == 1:
             out.append(a)
-        elif strict:
-            raise NonReducedResidue(f"{n} = {a} mod {q} shares a factor with {q}")
         else:
             dropped += 1
     return out, dropped
@@ -179,47 +176,30 @@ def interval_residues(q: int, B: int, A: int, strict: bool = True) -> tuple[list
 class AveragedErrors:
     X: int
     q: int
-    set_descriptor: str
     D: float
     E: float
     cardinality: int
-    dropped: int = 0
 
 
-def averaged_errors(
-    X: int,
-    q: int,
-    residues: Iterable[int],
-    set_descriptor: str = "explicit",
-    strict: bool = True,
-    dropped: int = 0,
-) -> AveragedErrors:
+def averaged_errors(X: int, q: int, residues: Iterable[int]) -> AveragedErrors:
     """D = sum |R| and E = sum R over a set of reduced residues mod q.
 
     Duplicate residues are collapsed; summation is over sorted residues so
-    the result is deterministic regardless of input order.
+    the result is deterministic regardless of input order.  R comes from
+    one error_vector; error_term serves a single residue at a large X.
     """
     aset = sorted({a % q for a in residues})
     for a in aset:
         if math.gcd(a, q) != 1:
-            if strict:
-                raise NonReducedResidue(f"{a} shares a factor with {q}")
-            dropped += 1
-    if not strict:
-        aset = [a for a in aset if math.gcd(a, q) == 1]
-    if len(aset) <= max(8, q // 64):
-        rs = [error_term(X, q, a).R for a in aset]
-    else:
-        R = error_vector(X, q).R
-        rs = [float(R[a]) for a in aset]
+            raise NonReducedResidue(f"{a} shares a factor with {q}")
+    R = error_vector(X, q).R
+    rs = [float(R[a]) for a in aset]
     return AveragedErrors(
         X=X,
         q=q,
-        set_descriptor=set_descriptor,
         D=math.fsum(abs(r) for r in rs),
         E=math.fsum(rs),
         cardinality=len(aset),
-        dropped=dropped,
     )
 
 

@@ -86,40 +86,6 @@ def exceptional_count_bound(X: int, p: int, kappa: float) -> float:
     return max(p * X ** (-1 / 3 + 4 * kappa), X ** (3 * kappa))
 
 
-# ------------------------------------------------------------- Y policies
-
-def choose_y(policy: str, X: int, q: int, A: int | None = None, eps: float = 0.05,
-             value: float | None = None) -> tuple[float, bool]:
-    """Y for the transform-side machinery, clamped into [1, X/2].
-
-    Policies: 'fixed' (explicit value), 'sqrt_qx' (sqrt(q X^(1+eps))),
-    'interval_abs' (the three-way max used for the interval-D bound),
-    'set_abs' (X^(1/3) p / A^(1/3)).  Returns (Y, clamped?).
-    """
-    if policy == "fixed":
-        if value is None:
-            raise ConfigInvalid("y_policy.value: required when kind is 'fixed'")
-        y = float(value)
-    elif policy == "sqrt_qx":
-        y = math.sqrt(q * X ** (1.0 + eps))
-    elif policy == "interval_abs":
-        if A is None:
-            raise ConfigInvalid("y_policy: 'interval_abs' needs a set length A")
-        y = max(
-            A**0.5 * X ** (0.5 + eps / 2) * q**0.375,
-            A**-0.5 * X ** (0.5 + eps / 2) * q**0.875,
-            A ** (-1 / 6) * X ** (5 / 18) * q ** (83 / 72),
-        )
-    elif policy == "set_abs":
-        if A is None:
-            raise ConfigInvalid("y_policy: 'set_abs' needs a set length A")
-        y = X ** (1 / 3) * q / A ** (1 / 3)
-    else:
-        raise ConfigInvalid(f"y_policy.kind: unknown policy {policy!r}")
-    clamped = not 1.0 <= y <= X / 2.0
-    return min(max(y, 1.0), X / 2.0), clamped
-
-
 # ---------------------------------------------------------------- config
 
 _EXPERIMENTS = ("interval_abs", "interval_signed", "set_abs", "exceptional")
@@ -297,7 +263,7 @@ def _interval_rows(cfg: ExperimentConfig, rng: np.random.Generator) -> list[dict
                 A_req = _resolve_length(spec, q)
                 for B in sorted(cfg.offsets):
                     if cfg.set_kind == "interval":
-                        residues, dropped = interval_residues(q, B, A_req, strict=False)
+                        residues, dropped = interval_residues(q, B, A_req)
                         descriptor = f"interval({B},{A_req})"
                     else:
                         size = min(A_req, len(units))

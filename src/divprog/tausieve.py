@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidRange, WindowTooLarge
 
-DEFAULT_MEMORY_BUDGET = 2 * 2**30  # bytes
+_MEMORY_BUDGET = 2 * 2**30  # bytes a sieve window or a naive-route sum vector may take
 _WINDOW_CAP = 2**40  # windows must sit below this
 _SEGMENT = 1 << 19  # odd entries per naive-route segment (1 MiB of uint16)
 _FOLD_BLOCK = 1 << 14  # residues per naive-route fold step (128 KiB per int64 temporary)
@@ -55,15 +55,15 @@ class TauTable:
         return self.start + len(self.values)
 
 
-def sieve_tau(start: int, length: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> TauTable:
+def sieve_tau(start: int, length: int) -> TauTable:
     """Exact tau on [start, start+length), deep windows allowed."""
     if start < 1 or length < 1:
         raise InvalidRange(f"need start >= 1 and length >= 1, got {start}, {length}")
     end = start + length
     if end > _WINDOW_CAP:
         raise InvalidRange(f"window reaches {end}, beyond the {_WINDOW_CAP} cap")
-    if 4 * length > memory_budget:
-        raise WindowTooLarge(f"window of {length} entries exceeds {memory_budget} byte budget")
+    if 4 * length > _MEMORY_BUDGET:
+        raise WindowTooLarge(f"window of {length} entries exceeds {_MEMORY_BUDGET} byte budget")
     tau = np.zeros(length, dtype=np.uint32)
     dmax = math.isqrt(end - 1)
     for d in range(1, dmax + 1):
@@ -157,7 +157,7 @@ def _fold_band(S: np.ndarray, cols: np.ndarray, k: int) -> None:
         S[g * (c * u % qg)] += (k + 1) * block
 
 
-def _progressions_naive(X: int, q: int, memory_budget: int) -> np.ndarray:
+def _progressions_naive(X: int, q: int) -> np.ndarray:
     # tau(2^k m) = (k + 1) tau(m) for odd m, so S(X; a, q) sums (k + 1) tau(m)
     # over odd m <= X >> k with 2^k m = a mod q.  Sieve tau over the odd
     # m = 2i + 1 only, in increasing order, and keep cols[j], the sum of tau(m)
@@ -169,14 +169,14 @@ def _progressions_naive(X: int, q: int, memory_budget: int) -> np.ndarray:
     # below q by 2^k mod q (taken with pow), so its products stay below
     # q^2 < 2^63 for q <= _FOLD_Q_MAX (about 3e9, whose int64 sums alone
     # take 24 GB); larger q are refused.
-    if 8 * q > memory_budget or q > _FOLD_Q_MAX:
-        raise WindowTooLarge(f"q = {q} needs {8 * q} bytes of sums; the budget is {memory_budget}")
+    if 8 * q > _MEMORY_BUDGET or q > _FOLD_Q_MAX:
+        raise WindowTooLarge(f"q = {q} needs {8 * q} bytes of sums; the budget is {_MEMORY_BUDGET}")
     P = q // math.gcd(2, q)
     S = np.zeros(q, dtype=np.int64)
     cols = np.zeros(P, dtype=np.int64)
     n_odd = (X + 1) // 2
     # tau(n) <= 6720 for n < 2^40, so uint16 holds every tau value
-    buf = np.empty(min(_SEGMENT, memory_budget // 2, n_odd), dtype=np.uint16)
+    buf = np.empty(min(_SEGMENT, _MEMORY_BUDGET // 2, n_odd), dtype=np.uint16)
     k = X.bit_length() - 1
     for lo in range(0, n_odd, len(buf)):
         hi = min(lo + len(buf), n_odd)
@@ -219,12 +219,7 @@ def _hyperbola_max_q(X: int) -> int:
     return X // 8000 - 700
 
 
-def divisor_sum_progressions(
-    X: int,
-    q: int,
-    method: str = "auto",
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> ProgressionSumVector:
+def divisor_sum_progressions(X: int, q: int, method: str = "auto") -> ProgressionSumVector:
     """All S(X; a, q) at once.  method in {auto, naive, hyperbola}."""
     if X < 1:
         raise InvalidRange(f"need X >= 1, got {X}")
@@ -235,7 +230,7 @@ def divisor_sum_progressions(
     if method == "auto":
         method = "hyperbola" if q <= _hyperbola_max_q(X) else "naive"
     if method == "naive":
-        sums = _progressions_naive(X, q, memory_budget)
+        sums = _progressions_naive(X, q)
     elif method == "hyperbola":
         sums = _progressions_hyperbola(X, q)
     else:

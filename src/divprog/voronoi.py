@@ -36,7 +36,7 @@ blocks of nodes.  The factor w'(x) sqrt(x) does not depend on n: the
 weights whose windows have the same panel count (and end) share their
 panels, and the factor is evaluated once per distinct panel.  The
 Kronrod value is the integral and its distance from the Gauss value on
-the same nodes the error estimate; the weights above target get one
+the same nodes the error estimate; the weights above the 1e-8 target get one
 uniform refinement before they are flagged.  Convergence problems are
 reported on the returned value, never raised.
 
@@ -66,7 +66,7 @@ _MAX_PANELS = 4000  # per weight
 _WINDOWS = 6  # per transition
 _BLOCK_PANELS = 4096  # panels built at once
 _BLOCK_NODES = 16384  # kernel evaluations per block: few Python steps, temporaries of 128 KiB
-_TARGET = 1e-8
+_TARGET = 1e-8  # relative error estimate above which a weight is refined, then flagged
 
 
 def truncation_thresholds(d: int, X: float, Y: float, eps: float = 0.05) -> tuple[float, float]:
@@ -211,17 +211,17 @@ def _integrate(panels: _Panels, table: tuple[np.ndarray, np.ndarray], c: np.ndar
 
 
 def _estimate(panels: _Panels, table: tuple[np.ndarray, np.ndarray], c: np.ndarray,
-              by_parts: np.ndarray, kernel, cutoff: SmoothCutoff, scale: float,
-              target: float) -> tuple[np.ndarray, np.ndarray, int]:
+              by_parts: np.ndarray, kernel, cutoff: SmoothCutoff,
+              scale: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Integrals, error estimates and panels used, for the weights of `panels`.
 
     The Kronrod values are checked against the Gauss ones on the same
-    nodes; weights above target are refined once and checked against
+    nodes; weights above _TARGET are refined once and checked against
     their first value.
     """
     fine, coarse = (by_parts[:, None] * _integrate(panels, table, c, kernel)).T
     err = np.abs(fine - coarse) / np.maximum(np.abs(fine), scale)
-    redo = err > target
+    redo = err > _TARGET
     used = panels.owner.size
     if redo.any():
         panels = panels.refined(redo)
@@ -247,7 +247,7 @@ class WeightValue:
     panels: int
 
 
-def weight_u(d: int, n, sign: int, cutoff: SmoothCutoff, target: float = _TARGET) -> WeightValue:
+def weight_u(d: int, n, sign: int, cutoff: SmoothCutoff) -> WeightValue:
     """u_d^+(n) for sign=+1, u_d^-(n) for sign=-1; n an int or an int array."""
     n_arr = np.atleast_1d(np.asarray(n, dtype=np.int64))
     if n_arr.size and n_arr.min() < 1:
@@ -271,7 +271,7 @@ def weight_u(d: int, n, sign: int, cutoff: SmoothCutoff, target: float = _TARGET
     for g in _groups(counts.sum(axis=0)):
         panels = _panels(first[:, g], counts[:, g], lo, hi)
         fine[g], err[g], used = _estimate(panels, table, c[g], by_parts[g], kernel, cutoff,
-                                          scale, target)
+                                          scale)
         n_panels += used
     value = prefactor * fine
     if np.ndim(n) == 0:
@@ -279,7 +279,7 @@ def weight_u(d: int, n, sign: int, cutoff: SmoothCutoff, target: float = _TARGET
     return WeightValue(
         value=value,
         error_estimate=err,
-        converged=bool(np.all(err <= target)),
+        converged=bool(np.all(err <= _TARGET)),
         panels=int(n_panels),
     )
 
@@ -304,9 +304,12 @@ class VoronoiErrorTerm:
     truncation_report: tuple[TruncationEntry, ...]
 
 
-def error_budget(q: int, Y: float, exponent: float = 0.1) -> float:
-    """(Y/q + 1) (Yq)^exponent: the truncation error scale of the expansion."""
-    return (Y / q + 1.0) * (Y * q) ** exponent
+def error_budget(q: int, Y: float) -> float:
+    """(Y/q + 1) (Yq)^0.1: the truncation error scale of the expansion.
+
+    The exponent 0.1 stands in for the epsilon of (Yq)^eps.
+    """
+    return (Y / q + 1.0) * (Y * q) ** 0.1
 
 
 def _fold(d: int, W_plus: np.ndarray, W_minus: np.ndarray, a_arr: np.ndarray) -> np.ndarray:
@@ -315,9 +318,7 @@ def _fold(d: int, W_plus: np.ndarray, W_minus: np.ndarray, a_arr: np.ndarray) ->
         return np.full(len(a_arr), W_plus[0] + W_minus[0])  # K_1 = 1
     ev = _evaluator(d)
     T = np.fft.fft(W_plus) + d * np.fft.ifft(W_minus)
-    G = np.zeros(d, dtype=np.complex128)
-    G[ev.inverses] = T[ev.units]
-    return (d * np.fft.ifft(G)).real[a_arr]
+    return ev.over_inverses(T[ev.units]).real[a_arr]
 
 
 def voronoi_error_terms(

@@ -87,6 +87,19 @@ def test_batch_over_a_matches_scalar():
             assert np.allclose(got, want, atol=1e-8), (d, method)
 
 
+def test_over_inverses_matches_loop():
+    # arbitrary complex t, not only the unit-modulus phases batch_over_a feeds it
+    rng = np.random.default_rng(7)
+    for d in (2, 3, 4, 16, 35, 97):
+        ev = KloostermanEvaluator.build(d)
+        t = rng.standard_normal(ev.phi) + 1j * rng.standard_normal(ev.phi)
+        got = ev.over_inverses(t)
+        units = [u for u in range(1, d) if math.gcd(u, d) == 1]
+        for a in range(d):
+            want = sum(tu * cmath.exp(2j * cmath.pi * a * pow(u, -1, d) / d) for tu, u in zip(t, units))
+            assert abs(got[a] - want) < 1e-9 * d, (d, a)
+
+
 def test_full_table_matches_scalar():
     # every entry, so both the rfft2 half (n <= d/2, for even d including
     # the self-mapped column n = d/2) and the reflected half are covered

@@ -106,13 +106,11 @@ def test_single_instance_error_bound():
 
 
 def test_interval_residues_modes():
-    res, dropped = interval_residues(10, 0, 10, strict=False)
+    res, dropped = interval_residues(10, 0, 10)
     assert res == [1, 3, 7, 9]
     assert dropped == 6
-    with pytest.raises(NonReducedResidue):
-        interval_residues(10, 0, 10, strict=True)
-    # wrap-around interval {6,7,8,9} mod 7 hits 0, which lenient mode drops
-    res, dropped = interval_residues(7, 5, 4, strict=False)
+    # wrap-around interval {6,7,8,9} mod 7 hits 0, which is dropped
+    res, dropped = interval_residues(7, 5, 4)
     assert res == [6, 1, 2]
     assert dropped == 1
     with pytest.raises(InvalidRange):
@@ -130,7 +128,7 @@ def test_averaged_errors_singleton_and_triangle():
     assert abs(avg.E - rec.R) < 1e-9
 
     res, _ = interval_residues(q, 3, 40)
-    avg = averaged_errors(X, q, res, set_descriptor="interval(3,40)")
+    avg = averaged_errors(X, q, res)
     assert avg.D >= 0
     assert abs(avg.E) <= avg.D + 1e-12
 
@@ -146,23 +144,19 @@ def test_averaged_errors_full_reduced_set_prime():
 def test_averaged_errors_strictness_and_dedup():
     with pytest.raises(NonReducedResidue):
         averaged_errors(1000, 10, [2])
-    lenient = averaged_errors(1000, 10, [2, 3, 3, 13], strict=False)
-    assert lenient.cardinality == 1  # 3 and 13 collapse, 2 dropped
-    assert lenient.dropped == 1
+    assert averaged_errors(1000, 10, [3, 3, 13]).cardinality == 1  # 3 and 13 collapse
 
 
 def test_averaged_errors_small_and_large_paths_agree():
-    # under the cutover the per-residue route is used, above it the vector
+    # the scalar route, one error_term per residue, is the oracle for the vector
     X, q = 30000, 257
-    res, _ = interval_residues(q, 1, 6)
-    small = averaged_errors(X, q, res)
-    big_set, _ = interval_residues(q, 1, 100)
-    ev = error_vector(X, q)
-    big = averaged_errors(X, q, big_set)
-    direct_D = math.fsum(abs(float(ev.R[a])) for a in big_set)
-    assert abs(big.D - direct_D) < 1e-8
-    direct_small = math.fsum(abs(float(ev.R[a])) for a in res)
-    assert abs(small.D - direct_small) < 1e-8
+    for A in (6, 100):
+        res, _ = interval_residues(q, 1, A)
+        avg = averaged_errors(X, q, res)
+        rs = [error_term(X, q, a).R for a in res]
+        assert avg.cardinality == A
+        assert abs(avg.D - math.fsum(abs(r) for r in rs)) < 1e-8
+        assert abs(avg.E - math.fsum(rs)) < 1e-8
 
 
 def test_exceptional_set_matches_direct_scan():

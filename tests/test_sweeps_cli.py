@@ -15,7 +15,6 @@ from divprog.kloosterman import kloosterman
 from divprog.mainterm import error_vector
 from divprog.sweeps import (
     ExperimentConfig,
-    choose_y,
     emit_report,
     exceptional_count_bound,
     interval_abs_error_bound,
@@ -63,24 +62,6 @@ def test_regime_predicates():
     assert set_abs_regime(100, X, 499)
     assert not set_abs_regime(2, X, 499)            # p > A X^(1/3-eps)
 
-
-def test_choose_y_policies():
-    y, clamped = choose_y("fixed", 10**4, 20, value=300.0)
-    assert y == 300.0 and not clamped
-    y, clamped = choose_y("sqrt_qx", 10**4, 20)
-    assert math.isclose(y, math.sqrt(20 * (10**4) ** 1.05), rel_tol=1e-12)
-    y, clamped = choose_y("fixed", 100, 5, value=5000.0)
-    assert y == 50.0 and clamped
-    y, clamped = choose_y("set_abs", 10**4, 101, A=10)
-    assert math.isclose(y, (10**4) ** (1 / 3) * 101 / 10 ** (1 / 3), rel_tol=1e-12)
-    assert not clamped
-    with pytest.raises(ConfigInvalid):
-        choose_y("fixed", 100, 5)
-    with pytest.raises(ConfigInvalid):
-        choose_y("unknown", 100, 5)
-
-
-# ---------------------------------------------------------------- config
 
 def _write(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name

@@ -28,15 +28,16 @@ def test_sieve_deep_window():
         assert tab[n] == tau_of(n), n
 
 
-def test_sieve_window_bounds():
+def test_sieve_window_bounds(monkeypatch):
     tab = sieve_tau(50, 10)
     assert tab.start == 50 and tab.stop == 60
     with pytest.raises(InvalidRange):
         sieve_tau(0, 10)
     with pytest.raises(InvalidRange):
         sieve_tau(5, 0)
+    monkeypatch.setattr(tausieve, "_MEMORY_BUDGET", 1000)
     with pytest.raises(WindowTooLarge):
-        sieve_tau(1, 10**6, memory_budget=1000)
+        sieve_tau(1, 10**6)
 
 
 def test_total_divisor_sum_against_direct():
@@ -149,9 +150,9 @@ def test_progressions_reject_x_at_window_cap():
             divisor_sum_progressions(cap + 12345, cap, method=method)
 
 
-def _assert_naive_route_right(X, q, **kwargs):
+def _assert_naive_route_right(X, q):
     # against hyperbola, the row sum and the single route on a few residues
-    naive = divisor_sum_progressions(X, q, method="naive", **kwargs).sums
+    naive = divisor_sum_progressions(X, q, method="naive").sums
     hyper = divisor_sum_progressions(X, q, method="hyperbola").sums
     assert np.array_equal(naive, hyper), (X, q)
     assert int(naive.sum()) == total_divisor_sum(X), (X, q)
@@ -187,12 +188,14 @@ def test_naive_odd_segment_and_fold_block_edges(monkeypatch):
                     _assert_naive_route_right(X, q)
 
 
-def test_naive_small_memory_budget():
+def test_naive_small_memory_budget(monkeypatch):
     for q in (1, 7, 12, 97):
         for budget in (8 * q, 8 * q + 2, 1000):
-            _assert_naive_route_right(3001, q, memory_budget=budget)
+            monkeypatch.setattr(tausieve, "_MEMORY_BUDGET", budget)
+            _assert_naive_route_right(3001, q)
+    monkeypatch.setattr(tausieve, "_MEMORY_BUDGET", 8 * 97 - 1)
     with pytest.raises(WindowTooLarge):
-        divisor_sum_progressions(3001, 97, method="naive", memory_budget=8 * 97 - 1)
+        divisor_sum_progressions(3001, 97, method="naive")
 
 
 def test_naive_route_matches_divisor_walk():
