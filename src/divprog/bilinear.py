@@ -105,8 +105,7 @@ def bilinear_sum_unweighted_a(inst: BilinearInstance) -> complex:
     B, A = inst.I
     M, N = inst.J
     padded = np.zeros(d, dtype=np.complex128)
-    n_vals = np.arange(M + 1, M + N + 1, dtype=np.int64) % d
-    np.add.at(padded, n_vals, inst.nu)
+    padded[M + 1 : M + N + 1] = inst.nu  # J sits inside [1, d - 1]
     T = d * np.fft.ifft(padded)  # T[x] = sum_n nu_n e_d(n x)
     return complex(ev.over_inverses(T[ev.units])[B + 1 : B + A + 1].sum())
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto library operations; table-like results
-go to CSV files under --out-dir, single-object results go to stdout as
+go to report files under --out-dir (or to --out), named <stem>.csv or
+<stem>.json after --format, and single-object results go to stdout as
 JSON.  Exit codes: 0 success, 2 for configuration or usage problems,
 3 when a sweep's configured envelope threshold is breached (CI gating),
 4 when an internal numerical self-check fails (an arithmetic or runtime
@@ -71,14 +72,14 @@ def _residue_set(text: str, q: int) -> list[int]:
     return sorted(set(residues))
 
 
-def _write_rows(args, rows: list[dict], default_name: str) -> int:
-    """Write rows to --out, or to default_name under --out-dir; print the path, return exit 0."""
+def _write_rows(args, rows: list[dict], stem: str) -> int:
+    """Write rows to --out, or to stem.<format> under --out-dir; print the path, return exit 0."""
     if getattr(args, "out", None):
         path = Path(args.out)
     else:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / default_name
+        path = out_dir / f"{stem}.{args.format}"
     sweeps.emit_report(rows, args.format, path, seed=args.seed)
     print(path)
     return 0
@@ -95,7 +96,7 @@ def _cmd_tau(args) -> int:
             f"internal check failed: S(X; a, q) summed over a is {vec.total()}, "
             f"not sum_(n <= X) tau(n) = {total_divisor_sum(args.x)}"
         )
-    return _write_rows(args, rows, f"tau_x{args.x}_q{args.q}.csv")
+    return _write_rows(args, rows, f"tau_x{args.x}_q{args.q}")
 
 
 def _cmd_errors(args) -> int:
@@ -105,13 +106,13 @@ def _cmd_errors(args) -> int:
         {"a": a, "S": int(vec.S[a]), "M": float(vec.M[a]), "R": float(vec.R[a])}
         for a in residues
     ]
-    return _write_rows(args, rows, f"errors_x{args.x}_q{args.q}.csv")
+    return _write_rows(args, rows, f"errors_x{args.x}_q{args.q}")
 
 
 def _cmd_exceptional(args) -> int:
     members = exceptional_set(args.x, args.p, args.kappa)
     rows = [{"a": a} for a in members]
-    return _write_rows(args, rows, f"exceptional_x{args.x}_p{args.p}.csv")
+    return _write_rows(args, rows, f"exceptional_x{args.x}_p{args.p}")
 
 
 def _cmd_kloosterman(args) -> int:
@@ -120,7 +121,7 @@ def _cmd_kloosterman(args) -> int:
         a_vals = list(range(lo, hi + 1))
         ks = kloosterman_batch_over_a(args.d, args.m, a_vals)
         rows = [{"a": a, "K": float(k)} for a, k in zip(a_vals, ks)]
-        return _write_rows(args, rows, f"kloosterman_d{args.d}_m{args.m}.csv")
+        return _write_rows(args, rows, f"kloosterman_d{args.d}_m{args.m}")
     if args.n is None:
         raise ConfigInvalid("kloosterman: need --n or --batch-a")
     w = check_weil(args.d, args.m, args.n)
@@ -182,7 +183,7 @@ def _cmd_voronoi_check(args) -> int:
             "residual": exact - r.approx_R,
             "budget": r.budget,
         })
-    return _write_rows(args, rows, f"voronoi_x{args.x}_q{q}.csv")
+    return _write_rows(args, rows, f"voronoi_x{args.x}_q{q}")
 
 
 def _cmd_poisson_check(args) -> int:

@@ -11,16 +11,20 @@ Three routes, used against each other in the tests:
   * batch over a: K_d(m, a) for many a through one length-d inverse DFT
     of the unit-indexed phase vector (K_d(m, .) is the Fourier transform
     of y -> e_d(m ybar) on Z_d),
-  * full table: all K_d(m, n) at once from a 2-D real DFT (rfft2) of the
-    indicator of {(x, xbar)}, which gives the columns n <= d/2; the rest
-    follow from K_d(m, n) = K_d(-m, -n).
+  * full table: all K_d(m, n) at once from one row per divisor g of d.
+    For a unit u, K_d(g u, n) = K_d(g, u n) (substitute x -> ubar x), so
+    every row m with gcd(m, d) = g is a gather of the row K_d(g, .),
+    which is one batch-over-a transform; row 0 is the g = d row.
 
 The unit group is built with whole-array operations and one route for
 every d: the units are what is left after clearing the multiples of each
-prime factor of d, and the inverses of the units below d/2 come from one
-vectorized Euler power u^(phi(d) - 1) mod d in int64, exact for
-d <= 1e8 because every product stays below d^2 <= 1e16 < 2^63.  The
-units above d/2 take inv(d - u) = d - inv(u).
+prime factor of d, and the inverses of the units below d/2 come from a
+product tree (Montgomery's batch inversion, one tree level per numpy
+step): pairwise products mod d going up, a single pow(root, -1, d), and
+child inverse = parent inverse * sibling mod d going down, about three
+multiplications per unit.  It is exact in int64 for d <= 1e8 because
+every product stays below d^2 <= 1e16 < 2^63.  The units above d/2 take
+inv(d - u) = d - inv(u).
 
 Classical identities (symmetry, degeneration to Ramanujan sums, twisted
 multiplicativity, Weil's bound) are test oracles, not used in evaluation.
@@ -34,11 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factorize, tau_of
+from .arith import divisors, factorize, tau_of
 from .errors import InvalidModulus, WindowTooLarge
 
 TWIDDLE_CAP = 10**7  # above this, phases are computed on the fly per call
-_TABLE_CAP = 4096  # full d x d tables: 8 d^2 bytes of float64, plus as much scratch
+_TABLE_CAP = 4096  # full d x d tables: 8 d^2 bytes of float64
+_TABLE_BLOCK = 1 << 20  # table entries gathered per step (8 MiB of int64 indices)
 
 _IMAG_SLACK = 1e-9  # per-unit allowance on the accumulated imaginary part
 
@@ -51,19 +56,29 @@ def _units(d: int) -> np.ndarray:
     return np.flatnonzero(keep).astype(np.int64)
 
 
-def _pow_mod(base: np.ndarray, e: int, d: int) -> np.ndarray:
-    """base^e mod d elementwise (d >= 2), square and multiply; exact while d^2 < 2^63."""
-    out = np.ones_like(base)
-    sq = base.copy()
-    while e:
-        if e & 1:
-            np.multiply(out, sq, out=out)
-            np.remainder(out, d, out=out)
-        e >>= 1
-        if e:
-            np.multiply(sq, sq, out=sq)
-            np.remainder(sq, d, out=sq)
-    return out
+def _batch_inverse(units: np.ndarray, d: int) -> np.ndarray:
+    """u^-1 mod d for every u in units (all prime to d, d >= 2), by a product tree.
+
+    Going up, each level holds the pairwise products mod d of the one
+    below, an odd-length level padded with 1.  The root is inverted once;
+    going down, the inverse of a child is its parent's inverse times its
+    sibling.  Exact while d^2 < 2^63.
+    """
+    levels = [units]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        if len(level) % 2:
+            level = np.append(level, 1)
+            levels[-1] = level
+        levels.append(level[0::2] * level[1::2] % d)
+    inv = np.array([pow(int(levels[-1][0]), -1, d)], dtype=np.int64)
+    for level in reversed(levels[:-1]):
+        inv = inv[: len(level) // 2]  # drop the padding's inverse
+        down = np.empty(len(level), dtype=np.int64)
+        down[0::2] = inv * level[1::2] % d
+        down[1::2] = inv * level[0::2] % d
+        inv = down
+    return inv[: len(units)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -86,7 +101,7 @@ class KloostermanEvaluator:
             raise InvalidModulus(f"modulus must be >= 1, got {d}")
         if d > 10**8:
             # unit/inverse tables alone would be GBs; also keeps the int64
-            # Euler power and index arithmetic below overflow-free
+            # product tree and index arithmetic overflow-free
             # (products below d^2 <= 10^16 << 2^63)
             raise WindowTooLarge(f"complete sums over d = {d} are beyond desk scale")
         if d == 1:
@@ -98,9 +113,9 @@ class KloostermanEvaluator:
             )
         units = _units(d)
         phi = len(units)
-        # Euler: u^(phi-1) = u^-1.  Only the lower half is powered; the units
-        # are symmetric under u -> d - u and inv(d - u) = d - inv(u).
-        lower = _pow_mod(units[: (phi + 1) // 2], phi - 1, d)
+        # Only the lower half is inverted; the units are symmetric under
+        # u -> d - u and inv(d - u) = d - inv(u).
+        lower = _batch_inverse(units[: (phi + 1) // 2], d)
         inverses = np.concatenate([lower, d - lower[: phi // 2][::-1]])
         twiddle = None
         if d <= TWIDDLE_CAP:
@@ -177,19 +192,21 @@ def kloosterman_table(d: int) -> np.ndarray:
         raise InvalidModulus(f"modulus must be >= 1, got {d}")
     if d > _TABLE_CAP:
         raise WindowTooLarge(f"full table for d = {d} exceeds the {_TABLE_CAP} cap")
-    ev = _evaluator(d)
     if d == 1:
         return np.ones((1, 1))
-    ind = np.zeros((d, d))
-    ind[ev.units, ev.inverses] = 1.0
-    # rfft2 gives sum e_d(-(mx + n xbar)) = conj K_d(m, n) = K_d(m, n) for
-    # n <= d/2; the other columns follow from K_d(m, n) = K_d(-m, -n).
-    half = np.fft.rfft2(ind).real
-    del ind
-    c = half.shape[1]
+    ev = _evaluator(d)
     table = np.empty((d, d))
-    table[:, :c] = half
-    table[:, c:] = half[-np.arange(d) % d, d - c : 0 : -1]
+    n = np.arange(d, dtype=np.int64)
+    block = max(1, _TABLE_BLOCK // d)
+    for g in divisors(d):
+        gu = g * ev.units % d
+        row = ev.over_inverses(ev._phases(gu)).real  # K_d(g, .)
+        # the rows m = g u mod d over the units u, each with one such u;
+        # for g = d that is m = 0 alone
+        rows, first = np.unique(gu, return_index=True)
+        for lo in range(0, len(rows), block):
+            u = ev.units[first[lo : lo + block]]
+            table[rows[lo : lo + block]] = row[u[:, None] * n[None, :] % d]
     return table
 
 

@@ -38,6 +38,7 @@ _WINDOW_CAP = 2**40  # windows must sit below this
 _SEGMENT = 1 << 19  # odd entries per naive-route segment (1 MiB of uint16)
 _FOLD_BLOCK = 1 << 14  # residues per naive-route fold step (128 KiB per int64 temporary)
 _FOLD_Q_MAX = math.isqrt(2**63 - 1)  # naive-route fold products stay in int64
+_COLUMN_WIDTH = 1024  # column sums run over rows of about this many entries
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,15 @@ def _add_columns(cols: np.ndarray, values: np.ndarray, start: int) -> None:
     head = min(len(values), -start % P)
     cols[o : o + head] += values[:head]
     rest = values[head:]
-    full = len(rest) - len(rest) % P
-    if full:
-        cols += rest[:full].reshape(-1, P).sum(axis=0, dtype=np.int64)
-    cols[: len(rest) - full] += rest[full:]
+    # numpy sums down axis 0 one row at a time, so a short P pays per row:
+    # sum rows of k P entries first, then fold their k groups of P
+    for width in (P * max(1, _COLUMN_WIDTH // P), P):
+        full = len(rest) - len(rest) % width
+        if full:
+            wide = rest[:full].reshape(-1, width).sum(axis=0, dtype=np.int64)
+            cols += wide.reshape(-1, P).sum(axis=0)
+            rest = rest[full:]
+    cols[: len(rest)] += rest
 
 
 def _sieve_odd(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:

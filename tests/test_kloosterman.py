@@ -8,6 +8,7 @@ from divprog.arith import euler_phi, is_prime, mod_inverse, ramanujan_sum
 from divprog.errors import WindowTooLarge
 from divprog.kloosterman import (
     KloostermanEvaluator,
+    _batch_inverse,
     check_weil,
     kloosterman,
     kloosterman_batch_over_a,
@@ -101,13 +102,26 @@ def test_over_inverses_matches_loop():
 
 
 def test_full_table_matches_scalar():
-    # every entry, so both the rfft2 half (n <= d/2, for even d including
-    # the self-mapped column n = d/2) and the reflected half are covered
-    for d in (2, 3, 4, 16, 35, 60, 97, 101):
+    # every entry: the table gathers each row m = g u from the row of
+    # g = gcd(m, d), so prime powers and moduli with many divisors cover
+    # every class, the row m = 0 included
+    for d in (2, 3, 4, 16, 35, 60, 64, 97, 101, 210, 360):
         tab = kloosterman_table(d)
         assert tab.shape == (d, d)
         want = np.array([[kloosterman(d, m, n) for n in range(d)] for m in range(d)])
         assert np.max(np.abs(tab - want)) < 1e-8, d
+    # d = 1024: every entry against the defining sum as one matrix product,
+    # sum_x e_d(m x) e_d(n xbar), and the rows m = 0, 2^k and 3 2^k against
+    # the scalar route
+    d = 1024
+    tab = kloosterman_table(d)
+    ev = KloostermanEvaluator.build(d)
+    r = np.arange(d)
+    want = (np.exp(2j * np.pi * np.outer(r, ev.units) / d)
+            @ np.exp(2j * np.pi * np.outer(ev.inverses, r) / d)).real
+    assert np.max(np.abs(tab - want)) < 1e-8
+    for m in [0] + [2**k for k in range(10)] + [3 * 2**k for k in range(9)]:
+        assert np.max(np.abs(tab[m] - [kloosterman(d, m, n) for n in range(d)])) < 1e-8, m
 
 
 def test_weil_envelope_small_exhaustive():
@@ -141,6 +155,28 @@ def test_units_and_inverses_against_gcd_filter_and_pow():
         for lo in (0, len(ev.units) // 2 - 500, len(ev.units) - 1000):
             units = ev.units[lo : lo + 1000].tolist()
             assert ev.inverses[lo : lo + 1000].tolist() == [pow(u, -1, d) for u in units]
+
+
+def test_batch_inverse_against_pow():
+    # every d <= 3000 through the evaluator, whose lower half of phi(d)
+    # units takes the product tree: odd-length levels, and phi/2 in {1, 2, 3}
+    # at d in {3, 4, 6}, {5, 8, 10, 12} and {7, 9, 14, 18}
+    for d in range(2, 3001):
+        ev = KloostermanEvaluator.build(d)
+        assert ev.inverses.tolist() == [pow(u, -1, d) for u in ev.units.tolist()], d
+    # every prefix length up to 40 straight through the tree
+    units = KloostermanEvaluator.build(3001).units
+    for n in range(1, 41):
+        got = _batch_inverse(units[:n], 3001)
+        assert got.tolist() == [pow(int(u), -1, 3001) for u in units[:n]], n
+    # moduli near 1e6 as the bench draws them (primes and twice a prime) and
+    # its batch modulus: u * inv = 1 mod d with inv in [0, d) is the same as
+    # inv = pow(u, -1, d), checked for every unit in int64
+    for d in (997319, 998287, 998918, 999422, 100003):
+        ev = KloostermanEvaluator.build(d)
+        inv = _batch_inverse(ev.units, d)
+        assert np.array_equal(inv, ev.inverses), d
+        assert np.all((inv >= 0) & (inv < d)) and np.all(ev.units * inv % d == 1), d
 
 
 def test_evaluator_reuse_and_phi():

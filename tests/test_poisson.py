@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from divprog import poisson
 from divprog.characters import character_table
 from divprog.errors import InvalidRange, SupportTooLarge
 from divprog.poisson import (
@@ -127,3 +128,73 @@ def test_twisted_lhs_is_character_weighted_lattice_sum():
             if w:
                 total += w * table.chi(j, m1 * m2)
     assert abs(chk.lhs - total) < 1e-12
+
+
+def _fourier_full_phase_matrix(g, u):
+    """ghat(u) with one phase per (u, node) on the same mesh, no separation."""
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    panels = 24 + int(math.ceil(2.0 * g.radius * np.abs(u).max()))
+    xs, ws = poisson._gl_mesh(*g.support, panels)
+    return np.exp(2j * np.pi * u[:, None] * xs[None, :]) @ (g(xs) * ws)
+
+
+def test_bump_fourier_matches_full_phase_matrix_over_a_scan():
+    # the scan's own blocks of 32 frequencies, each at its own panel count,
+    # and once more in one call over the whole range
+    for g, q in ((BUMPS.gx, 7), (BUMPS.gy, 13), (BumpFunction(30.0, 22.0), 263)):
+        vals, ok = poisson._dual_frequencies(g, q)
+        assert ok
+        want = [_fourier_full_phase_matrix(g, [0.0])[0]]
+        for m in range(0, len(vals) - 1, 32):
+            want.extend(_fourier_full_phase_matrix(g, np.arange(m + 1, m + 33) / q))
+        want = np.array(want)
+        peak = np.abs(want).max()
+        assert np.max(np.abs(vals - want)) < 1e-13 * peak, (g, q)
+        u = np.arange(len(vals)) / q
+        assert np.max(np.abs(g.fourier(u) - _fourier_full_phase_matrix(g, u))) < 1e-13 * peak
+
+
+def test_bump_fourier_chunks_long_frequency_arrays(monkeypatch):
+    g = BUMPS.gx
+    u = np.linspace(-40.0, 40.0, 301)
+    whole = g.fourier(u)
+    monkeypatch.setattr(poisson, "_PHASE_CHUNK", 1000)  # about 3 frequencies a step
+    assert np.max(np.abs(g.fourier(u) - whole)) < 1e-15 * np.abs(whole).max()
+
+
+def _dual_sum_brute(g, q, weight_of_product):
+    """The dual double sum over every frequency pair, no residue folding."""
+    h1_pos, _ = poisson._dual_frequencies(g.gx, q)
+    h2_pos, _ = poisson._dual_frequencies(g.gy, q)
+    m2 = np.arange(1, len(h2_pos))
+    total = 0j
+    for m1 in range(-(len(h1_pos) - 1), len(h1_pos)):
+        if m1 == 0:
+            continue
+        h1 = h1_pos[m1] if m1 > 0 else np.conj(h1_pos[-m1])
+        row = (h2_pos[1:] * weight_of_product(m1 * m2)
+               + np.conj(h2_pos[1:]) * weight_of_product(-m1 * m2))
+        total += h1 * row.sum()
+    return total / q
+
+
+def test_dual_sum_matches_pair_sum():
+    for q in (5, 7):
+        eq = np.exp(2j * np.pi / q * np.arange(q))
+        table = character_table(q)
+        weights = [lambda prods, z=z: eq[(-z * prods) % q] for z in (1, 2)]
+        weights += [lambda prods, j=j: np.conj(table.chi_row(j)[prods % q]) for j in (1, 2)]
+        for w in weights:
+            got, _, ok = poisson._dual_sum(BUMPS, q, w)
+            want = _dual_sum_brute(BUMPS, q, w)
+            assert ok and abs(got - want) < 1e-13 * max(1.0, abs(want)), q
+
+
+def test_wide_bumps_past_the_dual_row_chunk():
+    # q = 263 > 256 residue rows: the folded dual sum takes two row chunks
+    wide = ProductTestFunction(BumpFunction(25.0, 20.0), BumpFunction(30.0, 22.0))
+    plain = poisson_tau(wide, 263, 5)
+    assert plain.freq_converged and plain.residual < 1e-8, plain
+    assert min(plain.m_cutoffs) > 263
+    twisted = poisson_tau_twisted(wide, 263, 7)
+    assert twisted.freq_converged and twisted.residual < 1e-8, twisted

@@ -270,6 +270,18 @@ def test_cli_tau_all_and_single(tmp_path, capsys):
     assert doc["S"] == vec[4]
 
 
+def test_cli_report_name_follows_format(tmp_path, capsys):
+    argv = ["tau", "--x", "1000", "--q", "7"]
+    assert main(["--out-dir", str(tmp_path), "--format", "json"] + argv) == 0
+    path = tmp_path / "tau_x1000_q7.json"
+    assert capsys.readouterr().out.strip() == str(path)
+    rows = json.loads(path.read_text())["rows"]
+    assert [r["S"] for r in rows] == divisor_sum_progressions(1000, 7).sums.tolist()
+    assert main(["--out-dir", str(tmp_path)] + argv) == 0
+    assert capsys.readouterr().out.strip() == str(tmp_path / "tau_x1000_q7.csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tau_x1000_q7.csv", "tau_x1000_q7.json"]
+
+
 def test_cli_tau_row_sum_check_raises(tmp_path, monkeypatch, capsys):
     def broken(X, q):
         vec = divisor_sum_progressions(X, q)

@@ -188,6 +188,30 @@ def test_naive_odd_segment_and_fold_block_edges(monkeypatch):
                     _assert_naive_route_right(X, q)
 
 
+def test_column_sums_across_fold_edges(monkeypatch):
+    # rows of k P entries (k = width // P) are summed first and their k
+    # groups folded; lengths around multiples of k P and of P cross every edge
+    rng = np.random.default_rng(5)
+    for width in (1, 2, 5, 8, 24):
+        monkeypatch.setattr(tausieve, "_COLUMN_WIDTH", width)
+        for P in (1, 2, 3, 4, 7, 8, 25):
+            kP = P * max(1, width // P)
+            for n in {0, 1, P - 1, P, P + 1, kP - 1, kP, kP + 1, 2 * kP + P - 1, 3 * kP + 1}:
+                for start in (0, 1, P - 1, 2 * P + 1):
+                    values = rng.integers(0, 6720, n).astype(np.uint16)
+                    cols = np.arange(P, dtype=np.int64)
+                    tausieve._add_columns(cols, values, start)
+                    want = np.arange(P) + np.bincount((start + np.arange(n)) % P,
+                                                      weights=values, minlength=P)
+                    assert np.array_equal(cols, want.astype(np.int64)), (width, P, n, start)
+    # and through the naive route, against hyperbola
+    monkeypatch.setattr(tausieve, "_SEGMENT", 64)
+    monkeypatch.setattr(tausieve, "_COLUMN_WIDTH", 8)
+    for X in (255, 256, 257, 1000, 3001):
+        for q in (1, 2, 3, 4, 6, 8, 9, 16, 17):
+            _assert_naive_route_right(X, q)
+
+
 def test_naive_small_memory_budget(monkeypatch):
     for q in (1, 7, 12, 97):
         for budget in (8 * q, 8 * q + 2, 1000):
