@@ -58,7 +58,6 @@ from .errors import (
 from .kloosterman import (
     KloostermanEvaluator,
     check_weil,
-    kloosterman,
     kloosterman_batch_over_a,
     kloosterman_table,
 )
@@ -172,7 +171,6 @@ __all__ = [
     # kloosterman
     "KloostermanEvaluator",
     "check_weil",
-    "kloosterman",
     "kloosterman_batch_over_a",
     "kloosterman_table",
     # mainterm

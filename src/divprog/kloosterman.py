@@ -119,7 +119,11 @@ class KloostermanEvaluator:
         inverses = np.concatenate([lower, d - lower[: phi // 2][::-1]])
         twiddle = None
         if d <= TWIDDLE_CAP:
-            twiddle = np.exp(2j * np.pi / d * np.arange(d))
+            # e_d(s i + j) = e_d(s i) e_d(j) for 0 <= i, j < s, s^2 >= d:
+            # two tables of s phases and one outer product
+            s = math.isqrt(d - 1) + 1
+            k = np.arange(s)
+            twiddle = np.outer(np.exp(2j * np.pi / d * (s * k)), np.exp(2j * np.pi / d * k)).ravel()[:d]
         return cls(d=d, units=units, inverses=inverses, twiddle=twiddle)
 
     @property

@@ -101,9 +101,12 @@ def main_term_vector(X: int, q: int) -> np.ndarray:
     """M(X; a, q) for all residues a = 0..q-1 at once.
 
     r_d(a) depends on a only through g = gcd(a, q), so M is computed once per
-    divisor g of q, with r_d(g) = mu(d/h) phi(d) / phi(d/h), h = gcd(g, d),
-    and gathered by class.  The d-sum runs in ascending d, the order the
-    scalar polynomial uses.
+    divisor g of q, with r_d(g) = mu(d/h) phi(d) / phi(d/h), h = gcd(g, d).
+    The d-sum runs in ascending d, the order the scalar polynomial uses.
+    The classes are written by divisor strides: gcd(a, q) is the largest
+    divisor of q that divides a, so writing the value of each divisor g to
+    every g-th residue, in ascending g, leaves the value of gcd(a, q) at a.
+    That is sigma(q)/q writes per residue, and no gcd is taken.
     """
     if X < 1 or q < 2:
         raise InvalidRange(f"need X >= 1 and q >= 2, got {X}, {q}")
@@ -115,8 +118,11 @@ def main_term_vector(X: int, q: int) -> np.ndarray:
     M = np.zeros(len(divs))
     for j, d in enumerate(divs.tolist()):
         M += r[:, j] / d * (T - 2 * math.log(d) + 2 * EULER_GAMMA - 1)
-    classes = np.searchsorted(divs, np.gcd(np.arange(q, dtype=np.int64), q))
-    return X / q * M[classes]
+    V = X / q * M
+    out = np.full(q, V[0])
+    for g, v in zip(divs[1:].tolist(), V[1:].tolist()):
+        out[::g] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -181,6 +187,12 @@ class AveragedErrors:
     cardinality: int
 
 
+def error_sums(R: np.ndarray, residues: list[int]) -> tuple[float, float]:
+    """(D, E) = (sum |R[a]|, sum R[a]) over the residues, each correctly rounded."""
+    vals = R[np.asarray(residues, dtype=np.int64)].tolist()
+    return math.fsum(map(abs, vals)), math.fsum(vals)
+
+
 def averaged_errors(X: int, q: int, residues: Iterable[int]) -> AveragedErrors:
     """D = sum |R| and E = sum R over a set of reduced residues mod q.
 
@@ -192,15 +204,8 @@ def averaged_errors(X: int, q: int, residues: Iterable[int]) -> AveragedErrors:
     for a in aset:
         if math.gcd(a, q) != 1:
             raise NonReducedResidue(f"{a} shares a factor with {q}")
-    R = error_vector(X, q).R
-    rs = [float(R[a]) for a in aset]
-    return AveragedErrors(
-        X=X,
-        q=q,
-        D=math.fsum(abs(r) for r in rs),
-        E=math.fsum(rs),
-        cardinality=len(aset),
-    )
+    D, E = error_sums(error_vector(X, q).R, aset)
+    return AveragedErrors(X=X, q=q, D=D, E=E, cardinality=len(aset))
 
 
 def exceptional_threshold(X: int, kappa: float) -> float:

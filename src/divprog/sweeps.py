@@ -38,6 +38,7 @@ import numpy as np
 from .arith import is_prime
 from .errors import ConfigInvalid
 from .mainterm import (
+    error_sums,
     error_vector,
     exceptional_members,
     exceptional_threshold,
@@ -272,9 +273,7 @@ def _interval_rows(cfg: ExperimentConfig, rng: np.random.Generator) -> list[dict
                         )
                         dropped = 0
                         descriptor = f"random({size})"
-                    vals = [float(R[a]) for a in residues]
-                    D = math.fsum(abs(v) for v in vals)
-                    E = math.fsum(vals)
+                    D, E = error_sums(R, residues)
                     A_eff = len(residues)
                     prime = is_prime(q)
                     r11 = interval_abs_error_bound(A_eff, X, q) if A_eff else float("nan")

@@ -12,11 +12,13 @@ routes that the tests play against each other:
 
   * naive: tau(2^k m) = (k + 1) tau(m) for odd m, so only odd m <= X are
     sieved, in cache-sized segments of the index i = (m - 1) / 2, walking
-    odd divisors only.  Column sums of tau by i mod q / gcd(2, q) run along;
-    each time the sieve passes X >> k (k = floor(log2 X) down to 0) they are
-    folded, times k + 1, into the residues 2^k m mod q,
+    odd divisors only; a segment's start offsets for all its divisors are
+    computed as one array.  Column sums of tau by i mod q / gcd(2, q) run
+    along; each time the sieve passes X >> k (k = floor(log2 X) down to 0)
+    they are folded, times k + 1, into the residues 2^k m mod q,
   * hyperbola: count lattice points dm <= X with dm = a mod q per residue
-    class in O(sqrt(X) * q) without materializing tau,
+    class in O(sqrt(X) * q) without materializing tau, taking the d in
+    blocks of about _HYPERBOLA_BLOCK / q with one bincount per block,
   * single: same counting for one residue only, O(sqrt(X)) modular solves.
 
 The identity sum_a S(X; a, q) = sum_{n<=X} tau(n), with the right side
@@ -39,6 +41,7 @@ _SEGMENT = 1 << 19  # odd entries per naive-route segment (1 MiB of uint16)
 _FOLD_BLOCK = 1 << 14  # residues per naive-route fold step (128 KiB per int64 temporary)
 _FOLD_Q_MAX = math.isqrt(2**63 - 1)  # naive-route fold products stay in int64
 _COLUMN_WIDTH = 1024  # column sums run over rows of about this many entries
+_HYPERBOLA_BLOCK = 1 << 13  # (d, residue) entries per hyperbola step (64 KiB per int64 temporary)
 
 
 @dataclass(frozen=True)
@@ -127,13 +130,15 @@ def _sieve_odd(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
     tau = buf[:n]
     tau.fill(0)
     m_lo, m_hi = 2 * lo + 1, 2 * hi - 1
-    for d in range(1, math.isqrt(m_hi) + 1, 2):
-        # least odd cofactor e > d with d*e >= m_lo; odd multiples of d sit
-        # 2d apart, which is d apart in the index i
-        e = -(-max(m_lo, d * (d + 2)) // d) | 1
-        first = (d * e - 1) // 2 - lo
-        if first < n:
-            tau[first::d] += 2
+    # for every odd d <= sqrt(m_hi) at once: the least odd cofactor e > d
+    # with d*e >= m_lo, and its index; odd multiples of d sit 2d apart, which
+    # is d apart in the index i.  Products stay below 2^42 in int64.
+    d = np.arange(1, math.isqrt(m_hi) + 1, 2, dtype=np.int64)
+    e = -(-np.maximum(m_lo, d * (d + 2)) // d) | 1
+    first = (d * e - 1) // 2 - lo
+    hit = first < n
+    for f, step in zip(first[hit].tolist(), d[hit].tolist()):
+        tau[f::step] += 2
     e = np.arange(math.isqrt(m_lo - 1) + 1 | 1, math.isqrt(m_hi) + 1, 2, dtype=np.int64)
     tau[(e * e - 1) // 2 - lo] += 1
     return tau
@@ -204,11 +209,12 @@ def _progressions_hyperbola(X: int, q: int) -> np.ndarray:
     r = np.arange(q, dtype=np.int64)
     buckets = np.zeros(q, dtype=np.float64)
     D = math.isqrt(X)
-    for d in range(1, D + 1):
-        hi = X // d
-        cnt = (hi - r) // q - (d - 1 - r) // q
+    rows = max(1, _HYPERBOLA_BLOCK // q)
+    for d0 in range(1, D + 1, rows):
+        d = np.arange(d0, min(d0 + rows, D + 1), dtype=np.int64)[:, None]
+        cnt = (X // d - r) // q - (d - 1 - r) // q
         idx = d * r % q
-        buckets += np.bincount(idx, weights=cnt.astype(np.float64), minlength=q)
+        buckets += np.bincount(idx.ravel(), weights=cnt.ravel().astype(np.float64), minlength=q)
     S = 2 * buckets.astype(np.int64)
     e = np.arange(1, D + 1, dtype=np.int64)
     np.subtract.at(S, e * e % q, 1)
@@ -216,13 +222,14 @@ def _progressions_hyperbola(X: int, q: int) -> np.ndarray:
 
 
 def _hyperbola_max_q(X: int) -> int:
-    """Largest q for which method="auto" takes the hyperbola route (may be < 1)."""
-    # Fitted costs on 2 cores with numpy 2.4: hyperbola makes isqrt(X) passes
-    # over q buckets at about 1.5e-8 s per bucket plus a fixed 700 buckets'
-    # worth per pass; naive costs 5-16 ns per n <= X, the per-divisor loop
-    # growing with isqrt(X).  The two took equal time at q + 700 near X/5300
-    # (X = 4e6), X/7700 (1e7), X/8100 (3e7) and X/9600 (1e8).
-    return X // 8000 - 700
+    """Largest q for which method="auto" takes the hyperbola route."""
+    # Fitted costs on 2 cores with numpy 2.4: hyperbola fills isqrt(X) q
+    # (d, residue) entries at about 1.3e-8 s each, in blocks of
+    # _HYPERBOLA_BLOCK entries, so below q = 2^13 there is no per-d overhead;
+    # naive costs 4.5-9.6 ns per n <= X, the per-divisor loop growing with
+    # isqrt(X).  The two took equal time at q near 570 (X = 4e6), 1020 (1e7),
+    # 2350 (3e7) and 7200 (1e8), each the mean of two linear fits in q.
+    return X // 14500 + 300
 
 
 def divisor_sum_progressions(X: int, q: int, method: str = "auto") -> ProgressionSumVector:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from divprog import mainterm
 from divprog.arith import divisors, euler_phi, ramanujan_sum
 from divprog.errors import InvalidRange, NonReducedResidue, NotPrime
 from divprog.mainterm import (
@@ -83,6 +84,31 @@ def test_main_term_vector_matches_scalar():
         a = g * u % q
         assert math.gcd(a, q) == g
         assert abs(vec[a] - main_term(X, q, a)) < 1e-9, (X, q, a)
+
+
+def _main_term_vector_by_gather(X, q):
+    # the class gather main_term_vector replaced: the class of each residue is
+    # found by gcd and searchsorted, then the per-class values are gathered
+    T = math.log(X)
+    divs, mu, phi = mainterm._divisor_table(q)
+    h = np.gcd(divs[:, None], divs[None, :])
+    quot = np.searchsorted(divs, divs[None, :] // h)
+    r = mu[quot] * (phi[None, :] // phi[quot])
+    M = np.zeros(len(divs))
+    for j, d in enumerate(divs.tolist()):
+        M += r[:, j] / d * (T - 2 * math.log(d) + 2 * EULER_GAMMA - 1)
+    classes = np.searchsorted(divs, np.gcd(np.arange(q, dtype=np.int64), q))
+    return X / q * M[classes]
+
+
+def test_main_term_vector_classes_by_divisor_strides():
+    X = 10**4
+    for q in (2, 4, 2**10, 3**6, 30030, 46411, 720720):
+        vec = main_term_vector(X, q)
+        assert vec.dtype == np.float64 and vec.shape == (q,)
+        # one value per class gcd(a, q), read at the residue gcd(a, q) mod q
+        assert np.array_equal(vec, vec[np.gcd(np.arange(q), q) % q]), q
+        assert vec.tobytes() == _main_term_vector_by_gather(X, q).tobytes(), q
 
 
 def test_error_record_is_definitional():

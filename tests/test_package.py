@@ -10,7 +10,9 @@ def test_all_names_the_public_api_and_no_submodules():
     namespace = {}
     exec("from divprog import *", namespace)
     assert set(divprog.__all__) <= set(namespace)
-    from divprog import arith, tausieve  # submodules stay importable as attributes
+    from divprog import arith, kloosterman, tausieve  # submodules stay importable as attributes
 
+    assert isinstance(kloosterman, types.ModuleType)
+    assert kloosterman.kloosterman_table is divprog.kloosterman_table
     assert arith.factorize is divprog.factorize
     assert tausieve.sieve_tau is divprog.sieve_tau

@@ -1,5 +1,4 @@
 import csv
-import importlib
 import json
 import math
 import subprocess
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 from divprog import cli, voronoi
+from divprog import kloosterman as kloosterman_module
 from divprog.cli import main
 from divprog.errors import ConfigInvalid
 from divprog.kloosterman import kloosterman
@@ -385,8 +385,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_cli_kloosterman_imaginary_check_exits_4(capsys, monkeypatch):
-    kl_module = importlib.import_module("divprog.kloosterman")  # the package re-exports the function
-    monkeypatch.setattr(kl_module, "_IMAG_SLACK", -1.0)  # no imaginary part passes
+    monkeypatch.setattr(kloosterman_module, "_IMAG_SLACK", -1.0)  # no imaginary part passes
     assert main(["kloosterman", "--d", "7", "--m", "1", "--n", "2"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

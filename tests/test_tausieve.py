@@ -233,3 +233,28 @@ def test_naive_route_matches_divisor_walk():
         assert np.array_equal(naive, ref), (X, q)
         for a in (0, 1, 16, 45045 % q, q // 2, q - 1):
             assert naive[a] == progression_sum_single(X, q, a), (X, q, a)
+
+
+def test_hyperbola_blocks_of_d(monkeypatch):
+    # blocks of 1, 3 or 7 values of d, on X whose isqrt is no multiple of the
+    # block (and one whose isqrt is shorter than the block)
+    for rows in (1, 3, 7):
+        for q in (1, 2, 7, 101, 360):
+            monkeypatch.setattr(tausieve, "_HYPERBOLA_BLOCK", rows * q)
+            for X in (20, 489, 1639, 2600, 10001):
+                if q > X:
+                    continue
+                hyper = divisor_sum_progressions(X, q, method="hyperbola").sums
+                naive = divisor_sum_progressions(X, q, method="naive").sums
+                assert np.array_equal(hyper, naive), (rows, q, X)
+
+
+def test_sieve_odd_matches_divisor_walk():
+    # the odd entries of one segment: the first (m_lo = 1), one past 1e9 and
+    # a deep one near 1e11
+    n = tausieve._SEGMENT
+    buf = np.empty(n, dtype=np.uint16)
+    for lo in (0, 5 * 10**8 + 12345, 5 * 10**10 - 777):
+        tau = tausieve._sieve_odd(buf, lo, lo + n)
+        ref = sieve_tau(2 * lo + 1, 2 * n - 1).values[::2]
+        assert np.array_equal(tau, ref), lo
