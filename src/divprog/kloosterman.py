@@ -122,8 +122,9 @@ class KloostermanEvaluator:
             # e_d(s i + j) = e_d(s i) e_d(j) for 0 <= i, j < s, s^2 >= d:
             # two tables of s phases and one outer product
             s = math.isqrt(d - 1) + 1
-            k = np.arange(s)
-            twiddle = np.outer(np.exp(2j * np.pi / d * (s * k)), np.exp(2j * np.pi / d * k)).ravel()[:d]
+            fine = np.exp(2j * np.pi / d * np.arange(s))
+            coarse = np.exp(2j * np.pi / d * (s * np.arange(s)))
+            twiddle = np.outer(coarse, fine).ravel()[:d]
         return cls(d=d, units=units, inverses=inverses, twiddle=twiddle)
 
     @property
