@@ -44,6 +44,7 @@ from .characters import (
 from .cutoff import SmoothCutoff, SmoothPartition, smooth_partition, smoothstep
 from .errors import (
     ConfigInvalid,
+    DivprogError,
     InsufficientSpread,
     IntervalOutOfRange,
     InvalidModulus,
@@ -158,6 +159,7 @@ __all__ = [
     "smoothstep",
     # errors
     "ConfigInvalid",
+    "DivprogError",
     "InsufficientSpread",
     "IntervalOutOfRange",
     "InvalidModulus",

@@ -55,6 +55,8 @@ import functools
 
 import numpy as np
 
+from .errors import InvalidRange
+
 EULER_GAMMA = 0.57721566490153286061
 
 _K_SERIES_TERMS = 20
@@ -431,7 +433,7 @@ def _dispatch(x, routes: tuple[np.ndarray, tuple]) -> np.ndarray | float:
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     if arr.size and arr.min() <= 0.0:
-        raise ValueError("kernels are defined for positive arguments only")
+        raise InvalidRange("kernels are defined for positive arguments only")
     edges, fns = routes
     route = edges.searchsorted(arr)  # fns[i] serves (edges[i-1], edges[i]]
     counts = np.bincount(route, minlength=len(fns))

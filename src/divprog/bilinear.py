@@ -7,8 +7,11 @@ and weights |alpha_a| <= 1, |nu_n| <= 1:
 
 Two evaluation routes:
 
-  * brute force through the Kloosterman matrix, chunked over the unit
-    group so memory stays bounded,
+  * brute force, any alpha: T(x) = sum_n nu_n e_d(n x) on every x, scattered
+    to y = xbar and summed against e_d(a y) for each a in I, both as s x s
+    contractions (s = isqrt(d - 1) + 1, y = s i + j; see kloosterman.py).
+    Scratch: two grids of 16 s^2 bytes, within the evaluator's own 32 d
+    bytes for d <= TWIDDLE_CAP,
   * for alpha identically 1, the collapsed kernel
         sum_{x in (Z/d)^*} T(x) G_I(xbar),   G_I(y) = sum_{a in I} e_d(ay),
     where T(x) = sum_n nu_n e_d(nx) comes from one length-d inverse DFT
@@ -35,10 +38,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InsufficientSpread, IntervalOutOfRange
+from .errors import InsufficientSpread, IntervalOutOfRange, InvalidRange
 from .kloosterman import _evaluator
-
-_UNIT_CHUNK = 1 << 14
 
 
 def _check_interval(d: int, B: int, length: int, name: str) -> None:
@@ -66,9 +67,9 @@ class BilinearInstance:
         alpha = np.asarray(self.alpha, dtype=np.complex128)
         nu = np.asarray(self.nu, dtype=np.complex128)
         if alpha.shape != (A,) or nu.shape != (N,):
-            raise ValueError(f"weights must have shapes ({A},) and ({N},)")
+            raise InvalidRange(f"weights must have shapes ({A},) and ({N},)")
         if np.abs(alpha).max() > 1 + 1e-12 or np.abs(nu).max() > 1 + 1e-12:
-            raise ValueError("weight magnitudes must not exceed 1")
+            raise InvalidRange("weight magnitudes must not exceed 1")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "nu", nu)
 
@@ -78,28 +79,20 @@ class BilinearInstance:
 
 
 def bilinear_sum(inst: BilinearInstance) -> complex:
-    """Brute-force evaluation through the Kloosterman matrix."""
+    """Brute-force evaluation: the defining double sum over the unit group, no FFT."""
     ev = _evaluator(inst.d)
-    d = inst.d
     B, A = inst.I
     M, N = inst.J
-    a_vals = np.arange(B + 1, B + A + 1, dtype=np.int64)
-    n_vals = np.arange(M + 1, M + N + 1, dtype=np.int64)
-    total = 0.0 + 0.0j
-    chunk = max(1, _UNIT_CHUNK * 64 // (A + N))  # keep phase matrices ~ 1M entries
-    for lo in range(0, ev.phi, chunk):
-        x = ev.units[lo : lo + chunk]
-        xb = ev.inverses[lo : lo + chunk]
-        En = ev._phases(n_vals[:, None] * x[None, :] % d)  # N x chunk
-        Ea = ev._phases(a_vals[:, None] * xb[None, :] % d)  # A x chunk
-        total += inst.nu @ En @ (Ea.T @ inst.alpha)
-    return complex(total)
+    T = ev.phase_grid(inst.nu, np.arange(M + 1, M + N + 1, dtype=np.int64))
+    g = np.zeros_like(T)
+    g[ev.inverses] = T[ev.units]  # g[xbar] = T(x)
+    return complex(inst.alpha @ ev.phase_sums(g, np.arange(B + 1, B + A + 1, dtype=np.int64)))
 
 
 def bilinear_sum_unweighted_a(inst: BilinearInstance) -> complex:
     """Fast route for alpha == 1: two length-d DFTs."""
     if not np.allclose(inst.alpha, 1.0, atol=1e-12):
-        raise ValueError("fast path requires alpha identically 1")
+        raise InvalidRange("fast path requires alpha identically 1")
     ev = _evaluator(inst.d)
     d = inst.d
     B, A = inst.I

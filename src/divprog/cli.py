@@ -3,11 +3,13 @@
 Subcommands map one-to-one onto library operations; table-like results
 go to report files under --out-dir (or to --out), named <stem>.csv or
 <stem>.json after --format, and single-object results go to stdout as
-JSON.  Exit codes: 0 success, 2 for configuration or usage problems,
-3 when a sweep's configured envelope threshold is breached (CI gating),
-4 when an internal numerical self-check fails (an arithmetic or runtime
-error, such as a Kloosterman sum whose imaginary part is not rounding
-noise); exits 2 and 4 print one line on stderr.
+JSON.  Exit codes: 0 success, 2 for configuration or usage problems
+(the package's own error types, see errors.py), 3 when a sweep's
+configured envelope threshold is breached (CI gating), 4 for an internal
+failure: a numerical self-check (an arithmetic or runtime error, such as
+a Kloosterman sum whose imaginary part is not rounding noise) or any
+other ValueError, numpy's included; exits 2 and 4 print one line on
+stderr.
 
 --threads is accepted for interface stability and has no effect:
 computation is vectorized in one thread, and reports do not record it
@@ -30,7 +32,7 @@ import numpy as np
 from . import bilinear as bl
 from . import sweeps
 from .characters import congruence_bound_report, fourth_moment, multiplicative_congruence_count
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, DivprogError
 from .kloosterman import check_weil, kloosterman_batch_over_a
 from .mainterm import error_vector, exceptional_set, interval_residues
 from .poisson import BumpFunction, ProductTestFunction, poisson_tau, poisson_tau_twisted
@@ -44,29 +46,39 @@ def _json_out(doc) -> None:
     print(sweeps._json_dumps(doc))
 
 
+def _parse_ints(text: str, flag: str, sep: str | None = ",") -> list[int]:
+    try:
+        return [int(t) for t in text.split(sep)]
+    except ValueError as exc:
+        raise ConfigInvalid(f"{flag}: {exc}") from exc
+
+
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
-    parts = text.split(",")
+    parts = _parse_ints(text, flag)
     if len(parts) != 2:
         raise ConfigInvalid(f"{flag}: expected two comma-separated integers, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    return parts[0], parts[1]
 
 
 def _parse_float_pair(text: str, flag: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigInvalid(f"{flag}: expected center,radius, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        raise ConfigInvalid(f"{flag}: expected two numbers, got {text!r}") from exc
 
 
 def _residue_set(text: str, q: int) -> list[int]:
     """Either 'B,A' (interval, lenient reduction) or a file of residues."""
     path = Path(text)
     if path.is_file():
-        residues = [int(line) for line in path.read_text().split()]
+        residues = _parse_ints(path.read_text(), f"--set {path}", sep=None)
         return sorted({a % q for a in residues})
     try:
         B, A = _parse_pair(text, "--set")
-    except ValueError as exc:
+    except ConfigInvalid as exc:
         raise ConfigInvalid(f"--set: neither a file nor 'B,A': {text!r}") from exc
     residues, _ = interval_residues(q, B, A)
     return sorted(set(residues))
@@ -140,9 +152,12 @@ def _cmd_bilinear(args) -> int:
         alpha = rng.choice([-1.0, 1.0], size=A)
         nu = rng.choice([-1.0, 1.0], size=N)
     else:
-        data = json.loads(Path(args.weights).read_text())
-        alpha = np.asarray(data["alpha"], dtype=np.complex128)
-        nu = np.asarray(data["nu"], dtype=np.complex128)
+        try:
+            data = json.loads(Path(args.weights).read_text())
+            alpha = np.asarray(data["alpha"], dtype=np.complex128)
+            nu = np.asarray(data["nu"], dtype=np.complex128)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"--weights: {type(exc).__name__}: {exc}") from exc
     if args.fast:
         alpha = np.ones(A)
     inst = bl.BilinearInstance(d=args.d, I=(B, A), J=(M, N), alpha=alpha, nu=nu)
@@ -166,7 +181,7 @@ def _cmd_voronoi_check(args) -> int:
     if args.a == "all-coprime":
         residues = [a for a in range(1, q) if math.gcd(a, q) == 1]
     else:
-        residues = sorted({int(t) % q for t in args.a.split(",")})
+        residues = sorted({a % q for a in _parse_ints(args.a, "--a")})
     vec = error_vector(args.x, q)
     results = voronoi_error_terms(args.x, q, residues, args.y, eps=args.eps)
     for entry in results[0].truncation_report if results else ():
@@ -225,7 +240,7 @@ def _cmd_moment4(args) -> int:
 
 
 def _cmd_congcount(args) -> int:
-    parts = [int(t) for t in args.boxes.split(",")]
+    parts = _parse_ints(args.boxes, "--boxes")
     if len(parts) != 8:
         raise ConfigInvalid("--boxes: expected 8 comma-separated integers a1,b1,...,a4,b4")
     boxes = [(parts[i], parts[i + 1]) for i in range(0, 8, 2)]
@@ -355,10 +370,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalid as exc:
         print(f"divprog: config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except DivprogError as exc:
         print(f"divprog: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"divprog: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

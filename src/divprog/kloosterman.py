@@ -8,9 +8,16 @@ needs the d = 1 term to contribute a unit.
 Three routes, used against each other in the tests:
 
   * scalar evaluation over the unit group with a shared twiddle table,
-  * batch over a: K_d(m, a) for many a through one length-d inverse DFT
-    of the unit-indexed phase vector (K_d(m, .) is the Fourier transform
-    of y -> e_d(m ybar) on Z_d),
+  * batch over a: K_d(m, a) for many a, either through one length-d
+    inverse DFT of the unit-indexed phase vector (K_d(m, .) is the
+    Fourier transform of y -> e_d(m ybar) on Z_d), or directly, with no
+    FFT: the phases e_d(m x) are scattered to y = xbar and summed against
+    e_d(a y) for each a.  The direct sum splits y = s i + j with
+    s = isqrt(d - 1) + 1, so e_d(a y) = e_d(a s i) e_d(a j) and a block
+    of a values costs one s x s contraction (phase_sums; its adjoint
+    phase_grid serves the brute bilinear sum).  Its scratch is one grid
+    of 16 s^2 bytes, within the evaluator's own 32 d bytes for
+    d <= TWIDDLE_CAP, plus phase tables of _PHASE_BLOCK entries,
   * full table: all K_d(m, n) at once from one row per divisor g of d.
     For a unit u, K_d(g u, n) = K_d(g, u n) (substitute x -> ubar x), so
     every row m with gcd(m, d) = g is a gather of the row K_d(g, .),
@@ -39,13 +46,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import divisors, factorize, tau_of
-from .errors import InvalidModulus, WindowTooLarge
+from .errors import ConfigInvalid, InvalidModulus, WindowTooLarge
 
 TWIDDLE_CAP = 10**7  # above this, phases are computed on the fly per call
 _TABLE_CAP = 4096  # full d x d tables: 8 d^2 bytes of float64
 _TABLE_BLOCK = 1 << 20  # table entries gathered per step (8 MiB of int64 indices)
+_PHASE_BLOCK = 1 << 16  # split-phase entries per block of frequencies (1 MiB of complex128)
 
+_FFT_OVER_DIRECT = 3.0  # auto: fft when len(a) s^2 > this * d log2 d (fit in batch_over_a)
 _IMAG_SLACK = 1e-9  # per-unit allowance on the accumulated imaginary part
+
+
+def _side(d: int) -> int:
+    """The least s with s^2 >= d: every y in [0, d) is s i + j with 0 <= i, j < s."""
+    return math.isqrt(d - 1) + 1
 
 
 def _units(d: int) -> np.ndarray:
@@ -121,11 +135,15 @@ class KloostermanEvaluator:
         if d <= TWIDDLE_CAP:
             # e_d(s i + j) = e_d(s i) e_d(j) for 0 <= i, j < s, s^2 >= d:
             # two tables of s phases and one outer product
-            s = math.isqrt(d - 1) + 1
+            s = _side(d)
             fine = np.exp(2j * np.pi / d * np.arange(s))
             coarse = np.exp(2j * np.pi / d * (s * np.arange(s)))
             twiddle = np.outer(coarse, fine).ravel()[:d]
         return cls(d=d, units=units, inverses=inverses, twiddle=twiddle)
+
+    @property
+    def side(self) -> int:
+        return _side(self.d)
 
     @property
     def phi(self) -> int:
@@ -158,19 +176,72 @@ class KloostermanEvaluator:
         if self.d == 1:
             return np.ones(len(a_arr))
         if method == "auto":
-            direct_cost = len(a_arr) * max(self.phi, 1)
-            fft_cost = 8 * self.d * max(math.log2(self.d), 1)
+            # Fitted on 2 cores with numpy 2.4: direct costs 2.2-3.4 ns per
+            # a per grid cell (s^2 ~ d), fft one length-d transform.  The two
+            # took equal time at len(a) near 8 (d = 4096), 22-32 (smooth d
+            # from 30030 to 1e6), and 30, 34, 72, 122, 141 at the primes
+            # 1009, 2039, 10007, 100003, 999983, where the FFT is Bluestein's.
+            # Equal time is c d log2 d / s^2 values of a with c from 0.7 to
+            # 7.4; c = 3 errs by at most ~3x either way.
+            direct_cost = len(a_arr) * self.side**2
+            fft_cost = _FFT_OVER_DIRECT * self.d * math.log2(self.d)
             method = "fft" if direct_cost > fft_cost and self.twiddle is not None else "direct"
-        if method == "direct":
-            f = self._phases(m % self.d * self.units % self.d)
-            out = np.empty(len(a_arr))
-            for i, a in enumerate(a_arr):
-                z = (f * self._phases(int(a) * self.inverses % self.d)).sum()
-                out[i] = z.real
-            return out
-        if method != "fft":
-            raise ValueError(f"unknown method {method!r}")
-        return self.over_inverses(self._phases(m % self.d * self.units % self.d)).real[a_arr]
+        if method not in ("direct", "fft"):
+            raise ConfigInvalid(f"unknown method {method!r}")
+        t = self._phases(m % self.d * self.units % self.d)
+        if method == "fft":
+            return self.over_inverses(t).real[a_arr]
+        g = np.zeros(self.side**2, dtype=np.complex128)
+        g[self.inverses] = t
+        z = self.phase_sums(g, a_arr)
+        worst = np.abs(z.imag).max(initial=0.0)
+        if worst > _IMAG_SLACK * self.phi:
+            raise FloatingPointError(
+                f"K_{self.d}({m}, a) imaginary part {worst:.3e} exceeds tolerance"
+            )
+        return z.real
+
+    def _split_phases(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """e_d(k s i) and e_d(k j) for 0 <= i, j < s: two (len(k), s) tables."""
+        s = self.side
+        j = np.arange(s, dtype=np.int64)
+        coarse = self._phases(k[:, None] * (s * j % self.d) % self.d)
+        fine = self._phases(k[:, None] * j % self.d)
+        return coarse, fine
+
+    def phase_sums(self, g: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """sum_y g[y] e_d(a y) over y in [0, s^2), for each a in a (residues in [0, d)).
+
+        g is a flat s x s grid, y = s i + j, and e_d(a y) = e_d(a s i) e_d(a j):
+        each block of a values is one contraction of the grid with the fine
+        phases, weighted by the coarse ones.
+        """
+        s = self.side
+        grid = g.reshape(s, s)
+        out = np.empty(len(a), dtype=np.complex128)
+        block = max(1, _PHASE_BLOCK // s)
+        for lo in range(0, len(a), block):
+            coarse, fine = self._split_phases(a[lo : lo + block])
+            # einsum, not @: OpenBLAS runs these complex shapes several
+            # times slower with two threads than with one
+            out[lo : lo + block] = (coarse * np.einsum("ij,aj->ai", grid, fine)).sum(1)
+        return out
+
+    def phase_grid(self, w: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """sum_k w[k] e_d(n[k] x) for every x in [0, s^2), as a flat s x s grid.
+
+        The adjoint of phase_sums: per block of n, one contraction of the
+        weighted coarse phases with the fine ones.
+        """
+        s = self.side
+        grid = np.zeros((s, s), dtype=np.complex128)
+        block = max(1, _PHASE_BLOCK // s)
+        for lo in range(0, len(n), block):
+            coarse, fine = self._split_phases(n[lo : lo + block])
+            coarse *= w[lo : lo + block, None]
+            # contiguous in k: einsum's inner loop runs over the summed index
+            grid += np.einsum("ik,jk->ij", coarse.T.copy(), fine.T.copy())
+        return grid.ravel()
 
     def over_inverses(self, t: np.ndarray) -> np.ndarray:
         """sum_x t[i] e_d(a xbar) for every a in [0, d), x = units[i]; d >= 2.

@@ -180,7 +180,10 @@ class ExperimentConfig:
 def _resolve_length(spec: Any, q: int) -> int:
     if spec == "sqrt":
         return max(1, math.isqrt(q))
-    A = int(spec)
+    try:
+        A = int(spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"lengths: expected integers or 'sqrt', got {spec!r}") from exc
     if A < 1:
         raise ConfigInvalid(f"lengths: need positive lengths, got {A}")
     return A

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRange, WindowTooLarge
+from .errors import ConfigInvalid, InvalidRange, WindowTooLarge
 
 _MEMORY_BUDGET = 2 * 2**30  # bytes a sieve window or a naive-route sum vector may take
 _WINDOW_CAP = 2**40  # windows must sit below this
@@ -247,7 +247,7 @@ def divisor_sum_progressions(X: int, q: int, method: str = "auto") -> Progressio
     elif method == "hyperbola":
         sums = _progressions_hyperbola(X, q)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ConfigInvalid(f"unknown method {method!r}")
     return ProgressionSumVector(X=X, q=q, sums=sums)
 
 

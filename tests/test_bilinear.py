@@ -47,6 +47,23 @@ def test_brute_matches_reference_small():
         assert abs(got - want) < 1e-8 * max(1.0, abs(want)), d
 
 
+def test_brute_complex_weights_against_scalar_loop():
+    # general complex alpha (no fast route) and nu, |weights| <= 1, at moduli
+    # with s^2 = d (4, 9, 49) and with a padded grid
+    rng = np.random.default_rng(9)
+    for d in (2, 3, 4, 9, 10, 31, 49, 50, 97):
+        for _ in range(3):
+            A = int(rng.integers(1, d))
+            N = int(rng.integers(1, d))
+            B = int(rng.integers(0, d - A))
+            M = int(rng.integers(0, d - N))
+            alpha = rng.uniform(0, 1, A) * np.exp(2j * np.pi * rng.uniform(0, 1, A))
+            nu = rng.uniform(0, 1, N) * np.exp(2j * np.pi * rng.uniform(0, 1, N))
+            inst = BilinearInstance(d=d, I=(B, A), J=(M, N), alpha=alpha, nu=nu)
+            want = _reference(inst)
+            assert abs(bilinear_sum(inst) - want) < 1e-9 * max(1.0, abs(want)), (d, A, N)
+
+
 def test_fast_matches_brute_exhaustive_moduli():
     rng = np.random.default_rng(6)
     for d in range(3, 102):

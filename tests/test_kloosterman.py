@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from divprog.arith import euler_phi, is_prime, mod_inverse, ramanujan_sum
+from divprog import kloosterman as kloosterman_module
 from divprog.errors import WindowTooLarge
 from divprog.kloosterman import (
     KloostermanEvaluator,
@@ -86,6 +87,63 @@ def test_batch_over_a_matches_scalar():
             got = kloosterman_batch_over_a(d, 5, a_vals, method=method)
             want = np.array([kloosterman(d, 5, a) for a in a_vals])
             assert np.allclose(got, want, atol=1e-8), (d, method)
+
+
+@pytest.mark.parametrize("no_twiddle", [False, True])
+def test_phase_sums_and_grid_match_loops(monkeypatch, no_twiddle):
+    # s^2 = d at d in {4, 9, 49}, s^2 > d (a padded grid) elsewhere; at
+    # d = 2040 blocks of 7 frequencies; with the cap below d the phases are
+    # computed without the twiddle table
+    if no_twiddle:
+        monkeypatch.setattr(kloosterman_module, "TWIDDLE_CAP", 1)
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 4, 9, 10, 49, 50, 97, 2040):
+        ev = KloostermanEvaluator.build(d)
+        assert (ev.twiddle is None) == no_twiddle
+        s = ev.side
+        assert (s - 1) ** 2 < d <= s * s
+        cells = s * s
+        g = rng.standard_normal(cells) + 1j * rng.standard_normal(cells)
+        if d == 2040:
+            monkeypatch.setattr(kloosterman_module, "_PHASE_BLOCK", 7 * s)
+            a = rng.integers(0, d, 40)
+        else:
+            a = np.arange(d)
+        got = ev.phase_sums(g, a)
+        for k, ak in enumerate(a):
+            want = sum(g[y] * cmath.exp(2j * cmath.pi * int(ak) * y / d) for y in range(cells))
+            assert abs(got[k] - want) < 1e-10 * cells, (d, int(ak))
+        w = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
+        grid = ev.phase_grid(w, a)
+        assert grid.shape == (cells,)
+        for x in range(0, cells, max(1, cells // 60)):
+            want = sum(wk * cmath.exp(2j * cmath.pi * int(ak) * x / d) for wk, ak in zip(w, a))
+            assert abs(grid[x] - want) < 1e-10 * len(a), (d, x)
+        m = int(rng.integers(0, d))
+        direct = ev.batch_over_a(m, range(d), method="direct")
+        assert np.allclose(direct, [ev.value(m, n) for n in range(d)], atol=1e-8), d
+
+
+def test_batch_auto_matches_both_routes_across_boundary(monkeypatch):
+    # auto takes fft once len(a) s^2 exceeds _FFT_OVER_DIRECT d log2 d
+    calls = []
+    real = KloostermanEvaluator.phase_sums
+
+    def spy(self, g, a):
+        calls.append(len(a))
+        return real(self, g, a)
+
+    monkeypatch.setattr(KloostermanEvaluator, "phase_sums", spy)
+    for d in (97, 1000, 2039):
+        ev = KloostermanEvaluator.build(d)
+        edge = int(kloosterman_module._FFT_OVER_DIRECT * d * math.log2(d) / ev.side**2)
+        for count, route in ((edge, "direct"), (edge + 1, "fft")):
+            a_vals = [(7 * i + 3) % d for i in range(count)]
+            calls.clear()
+            auto = ev.batch_over_a(5, a_vals)
+            assert calls == ([count] if route == "direct" else []), (d, count)
+            for method in ("direct", "fft"):
+                assert np.allclose(auto, ev.batch_over_a(5, a_vals, method=method), atol=1e-9), (d, method)
 
 
 def test_over_inverses_matches_loop():

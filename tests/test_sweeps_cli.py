@@ -393,6 +393,44 @@ def test_cli_kloosterman_imaginary_check_exits_4(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
+def test_cli_kloosterman_batch_imaginary_check_exits_4(tmp_path, capsys, monkeypatch):
+    # a single a: auto takes the direct route, whose sum is checked like the scalar
+    real = kloosterman_module.KloostermanEvaluator._phases
+
+    def corrupted(self, idx):
+        out = real(self, idx)
+        if out.ndim == 1:
+            out = out.copy()
+            out[0] *= 1j
+        return out
+
+    monkeypatch.setattr(kloosterman_module.KloostermanEvaluator, "_phases", corrupted)
+    argv = ["--out-dir", str(tmp_path), "kloosterman", "--d", "13", "--m", "2", "--batch-a", "1,1"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and not list(tmp_path.iterdir())
+    assert captured.err.startswith("divprog: internal error: FloatingPointError: K_13(2, a)")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_exit_codes_by_error_type(capsys, monkeypatch):
+    # the package's own errors, bad flags included, exit 2
+    assert main(["congcount", "--p", "5", "--boxes", "1,4,1,x,1,4,1,4"]) == 2
+    assert capsys.readouterr().err.startswith("divprog: config error: --boxes:")
+    assert main(["poisson-check", "--q", "7", "--z", "3", "--gx", "2.5,wide"]) == 2
+    assert main(["voronoi-check", "--x", "2000", "--q", "12", "--y", "320", "--a", "1,five"]) == 2
+    assert main(["bilinear", "--d", "11", "--I", "0,3", "--J", "0,3", "--weights", "no-such.json"]) == 2
+    capsys.readouterr()
+    # any other ValueError, numpy's own included, is an internal failure
+    def broken(X, q):
+        np.zeros(6).reshape(4)
+
+    monkeypatch.setattr(cli, "divisor_sum_progressions", broken)
+    assert main(["tau", "--x", "100", "--q", "7"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("divprog: internal error: ValueError:") and err.count("\n") == 1
+
+
 def test_cli_voronoi_check(tmp_path, capsys):
     rc = main(["--out-dir", str(tmp_path), "voronoi-check", "--x", "2000", "--q", "12",
                "--y", "320", "--a", "1,5"])
