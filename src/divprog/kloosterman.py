@@ -170,6 +170,15 @@ class KloostermanEvaluator:
             )
         return z.real
 
+    def _real_part(self, z: np.ndarray, label: str) -> np.ndarray:
+        """z.real, after checking every |Im z| against the per-unit slack."""
+        worst = np.abs(z.imag).max(initial=0.0)
+        if worst > _IMAG_SLACK * self.phi:
+            raise FloatingPointError(
+                f"K_{self.d}({label}) imaginary part {worst:.3e} exceeds tolerance"
+            )
+        return z.real
+
     def batch_over_a(self, m: int, a_values, method: str = "auto") -> np.ndarray:
         """K_d(m, a) for each a in a_values; 'direct', 'fft' or 'auto'."""
         a_arr = np.asarray(list(a_values), dtype=np.int64) % self.d
@@ -190,16 +199,12 @@ class KloostermanEvaluator:
             raise ConfigInvalid(f"unknown method {method!r}")
         t = self._phases(m % self.d * self.units % self.d)
         if method == "fft":
-            return self.over_inverses(t).real[a_arr]
-        g = np.zeros(self.side**2, dtype=np.complex128)
-        g[self.inverses] = t
-        z = self.phase_sums(g, a_arr)
-        worst = np.abs(z.imag).max(initial=0.0)
-        if worst > _IMAG_SLACK * self.phi:
-            raise FloatingPointError(
-                f"K_{self.d}({m}, a) imaginary part {worst:.3e} exceeds tolerance"
-            )
-        return z.real
+            z = self.over_inverses(t)[a_arr]
+        else:
+            g = np.zeros(self.side**2, dtype=np.complex128)
+            g[self.inverses] = t
+            z = self.phase_sums(g, a_arr)
+        return self._real_part(z, f"{m}, a")
 
     def _split_phases(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """e_d(k s i) and e_d(k j) for 0 <= i, j < s: two (len(k), s) tables."""
@@ -276,7 +281,7 @@ def kloosterman_table(d: int) -> np.ndarray:
     block = max(1, _TABLE_BLOCK // d)
     for g in divisors(d):
         gu = g * ev.units % d
-        row = ev.over_inverses(ev._phases(gu)).real  # K_d(g, .)
+        row = ev._real_part(ev.over_inverses(ev._phases(gu)), f"{g}, .")  # K_d(g, .)
         # the rows m = g u mod d over the units u, each with one such u;
         # for g = d that is m = 0 alone
         rows, first = np.unique(gu, return_index=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from divprog import characters
+from divprog.arith import is_prime
 from divprog.characters import (
     CharacterTable,
     character_table,
@@ -98,6 +99,95 @@ def test_fourth_moment_window_longer_than_modulus():
     assert abs(fourth_moment_brute(p, 1, 2 * p - 1)) < 1e-8
 
 
+def _moment_by_dft(monkeypatch, p, K, H):
+    """The length (p-1) DFT route, whatever the window size."""
+    with monkeypatch.context() as m:
+        m.setattr(characters, "_DFT_OVER_PAIRS", 0.0)
+        return fourth_moment(p, K, H)
+
+
+def _moment_by_pairs(monkeypatch, p, K, H):
+    """The pair route, whatever the window size."""
+    with monkeypatch.context() as m:
+        m.setattr(characters, "_DFT_OVER_PAIRS", math.inf)
+        return fourth_moment(p, K, H)
+
+
+def test_fourth_moment_pair_route_vs_brute_every_small_prime(monkeypatch):
+    # negative starts, windows that start on or cover multiples of p,
+    # H = 0, and windows of two or more full periods
+    for p in range(3, 114):
+        if not is_prime(p):
+            continue
+        windows = [(0, 0), (p, 0), (-p - 3, p // 2), (2 * p, p + 1), (-2 * p, 2 * p),
+                   (-5, 2 * p + 7), (1, 3 * p)]
+        for K, H in windows:
+            pair = _moment_by_pairs(monkeypatch, p, K, H)
+            brute = fourth_moment_brute(p, K, H)
+            assert abs(pair - brute) <= 1e-9 * max(1.0, brute), (p, K, H)
+
+
+def test_fourth_moment_pair_route_is_the_exact_count(monkeypatch):
+    # (p-1) M - N^4 with M the 4-fold loop count over the window
+    for p, K, H in ((5, 0, 9), (7, -3, 20), (13, 2, 30), (31, 40, 25), (61, -61, 40)):
+        box = (K, K + H)
+        brute = multiplicative_congruence_count_brute(p, box, box, box, box)
+        units = sum(1 for x in range(K, K + H + 1) if x % p)
+        m = _moment_by_pairs(monkeypatch, p, K, H)
+        assert m == int(m)
+        assert m == (p - 1) * brute - units**4, (p, K, H)
+
+
+def test_fourth_moment_pair_route_reads_only_the_log_table(monkeypatch):
+    # the bench compares the moment with the congruence count, so the
+    # moment must not be computed from the product histograms
+    def forbidden(*args):
+        raise AssertionError("the moment called the congruence count")
+
+    monkeypatch.setattr(characters, "_product_histogram", forbidden)
+    monkeypatch.setattr(characters, "multiplicative_congruence_count", forbidden)
+    pair = _moment_by_pairs(monkeypatch, 101, 7, 30)
+    assert abs(pair - _moment_by_dft(monkeypatch, 101, 7, 30)) <= 1e-12 * pair
+
+
+def test_fourth_moment_route_by_cost(monkeypatch):
+    # the route is seen through a spy on the transform; both routes agree
+    calls = []
+    real_ifft = np.fft.ifft
+
+    def spy(x):
+        calls.append(len(x))
+        return real_ifft(x)
+
+    monkeypatch.setattr(characters.np.fft, "ifft", spy)
+    # a window of 1501 at p = 999983: pairs; of 3001 at p = 100003 and of
+    # 2000 at p = 101: the DFT
+    for p, K, H, route in ((999983, 123457, 1500, "pairs"), (100003, 4321, 3000, "dft"),
+                           (101, 5, 1999, "dft")):
+        calls.clear()
+        m = fourth_moment(p, K, H)
+        assert calls == ([] if route == "pairs" else [p - 1]), (p, H)
+        other = (_moment_by_dft if route == "pairs" else _moment_by_pairs)(monkeypatch, p, K, H)
+        assert abs(m - other) <= 1e-12 * m, (p, H)
+    # either side of the boundary (H+1)^2 = c p log2 p
+    p = 10007
+    edge = math.isqrt(int(characters._DFT_OVER_PAIRS * p * math.log2(p)))
+    for H, n_calls in ((edge - 1, 0), (edge + 1, 1)):
+        calls.clear()
+        fourth_moment(p, 3, H)
+        assert len(calls) == n_calls, H
+
+
+def test_zeta_powers_are_built_on_first_use():
+    character_table.cache_clear()
+    p = 10007
+    t = character_table(p)
+    fourth_moment(p, 5, 200)  # the pair route reads the log table only
+    assert "zeta_powers" not in vars(t)
+    assert abs(t.chi(1, t.g) - np.exp(2j * np.pi / (p - 1))) < 1e-14
+    assert t.zeta_powers is vars(t)["zeta_powers"]
+
+
 def test_fourth_moment_validation():
     with pytest.raises(InvalidRange):
         fourth_moment(7, 0, -1)
@@ -137,6 +227,27 @@ def test_congruence_count_vs_brute_random():
         fast = multiplicative_congruence_count(p, *boxes)
         brute = multiplicative_congruence_count_brute(p, *boxes)
         assert fast == brute, (p, boxes)
+
+
+def test_congruence_count_squares_one_histogram_for_repeated_boxes(monkeypatch):
+    real = characters._product_histogram
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(characters, "_product_histogram", spy)
+    p = 31
+    for b1, b2 in (((2, 9), (1, 17)), ((-40, 3), (30, 33)), ((5, 5), (5, 5))):
+        for b3, b4 in ((b1, b2), (b2, b1)):
+            calls.clear()
+            fast = multiplicative_congruence_count(p, b1, b2, b3, b4)
+            assert len(calls) == 1
+            assert fast == multiplicative_congruence_count_brute(p, b1, b2, b3, b4)
+    calls.clear()
+    multiplicative_congruence_count(p, (2, 9), (1, 17), (2, 9), (1, 18))
+    assert len(calls) == 2
 
 
 def test_congruence_count_swap_symmetry():

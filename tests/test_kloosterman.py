@@ -182,6 +182,23 @@ def test_full_table_matches_scalar():
         assert np.max(np.abs(tab[m] - [kloosterman(d, m, n) for n in range(d)])) < 1e-8, m
 
 
+def test_fft_routes_check_the_imaginary_part(monkeypatch):
+    # one corrupted phase: the fft batch and the table rows must raise, not
+    # return the real part of a sum that is no longer real
+    real = KloostermanEvaluator._phases
+
+    def corrupted(self, idx):
+        out = real(self, idx).copy()
+        out[0] *= 1j
+        return out
+
+    monkeypatch.setattr(KloostermanEvaluator, "_phases", corrupted)
+    with pytest.raises(FloatingPointError, match=r"K_13\(2, a\)"):
+        kloosterman_batch_over_a(13, 2, range(13), method="fft")
+    with pytest.raises(FloatingPointError, match=r"K_13\(1, \.\)"):
+        kloosterman_table(13)
+
+
 def test_weil_envelope_small_exhaustive():
     for d in range(1, 100):
         tab = kloosterman_table(d)

@@ -394,7 +394,8 @@ def test_cli_kloosterman_imaginary_check_exits_4(capsys, monkeypatch):
 
 
 def test_cli_kloosterman_batch_imaginary_check_exits_4(tmp_path, capsys, monkeypatch):
-    # a single a: auto takes the direct route, whose sum is checked like the scalar
+    # a single a: auto takes the direct route; a hundred values of a at
+    # d = 13: the fft route.  Both sums are checked like the scalar
     real = kloosterman_module.KloostermanEvaluator._phases
 
     def corrupted(self, idx):
@@ -405,12 +406,14 @@ def test_cli_kloosterman_batch_imaginary_check_exits_4(tmp_path, capsys, monkeyp
         return out
 
     monkeypatch.setattr(kloosterman_module.KloostermanEvaluator, "_phases", corrupted)
-    argv = ["--out-dir", str(tmp_path), "kloosterman", "--d", "13", "--m", "2", "--batch-a", "1,1"]
-    assert main(argv) == 4
-    captured = capsys.readouterr()
-    assert captured.out == "" and not list(tmp_path.iterdir())
-    assert captured.err.startswith("divprog: internal error: FloatingPointError: K_13(2, a)")
-    assert captured.err.count("\n") == 1
+    for a_range in ("1,1", "0,99"):
+        argv = ["--out-dir", str(tmp_path), "kloosterman", "--d", "13", "--m", "2",
+                "--batch-a", a_range]
+        assert main(argv) == 4, a_range
+        captured = capsys.readouterr()
+        assert captured.out == "" and not list(tmp_path.iterdir())
+        assert captured.err.startswith("divprog: internal error: FloatingPointError: K_13(2, a)")
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_exit_codes_by_error_type(capsys, monkeypatch):
