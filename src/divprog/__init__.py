@@ -107,7 +107,6 @@ from .voronoi import (
     WeightValue,
     error_budget,
     truncation_thresholds,
-    voronoi_error_term,
     voronoi_error_terms,
     weight_u,
 )
@@ -216,7 +215,6 @@ __all__ = [
     "WeightValue",
     "error_budget",
     "truncation_thresholds",
-    "voronoi_error_term",
     "voronoi_error_terms",
     "weight_u",
 ]

@@ -18,6 +18,8 @@ import functools
 import math
 import random
 
+import numpy as np
+
 from .errors import InvalidModulus, NotInvertible, NotPrime
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -131,6 +133,15 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def reduced_residues(d: int) -> np.ndarray:
+    """Residues in [1, d) prime to d, ascending, as int64: clear the multiples of each p | d."""
+    keep = np.ones(d, dtype=bool)
+    keep[0] = False
+    for p, _ in factorize(d):
+        keep[::p] = False
+    return np.flatnonzero(keep).astype(np.int64)
 
 
 def mobius(n: int) -> int:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -31,6 +30,7 @@ import numpy as np
 
 from . import bilinear as bl
 from . import sweeps
+from .arith import reduced_residues
 from .characters import congruence_bound_report, fourth_moment, multiplicative_congruence_count
 from .errors import ConfigInvalid, DivprogError
 from .kloosterman import check_weil, kloosterman_batch_over_a
@@ -179,7 +179,7 @@ def _cmd_bilinear(args) -> int:
 def _cmd_voronoi_check(args) -> int:
     q = args.q
     if args.a == "all-coprime":
-        residues = [a for a in range(1, q) if math.gcd(a, q) == 1]
+        residues = reduced_residues(q).tolist()
     else:
         residues = sorted({a % q for a in _parse_ints(args.a, "--a")})
     vec = error_vector(args.x, q)
@@ -233,7 +233,7 @@ def _cmd_moment4(args) -> int:
     moment = fourth_moment(args.p, args.k, args.h)
     _json_out({
         "p": args.p, "K": args.k, "H": args.h,
-        "moment": moment,
+        "moment": int(moment) if moment.is_integer() else moment,  # exact: no report rounding
         "h_squared_ratio": moment / max(args.h, 1) ** 2,
     })
     return 0

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import divisors, factorize, tau_of
+from .arith import divisors, reduced_residues, tau_of
 from .errors import ConfigInvalid, InvalidModulus, WindowTooLarge
 
 TWIDDLE_CAP = 10**7  # above this, phases are computed on the fly per call
@@ -60,14 +60,6 @@ _IMAG_SLACK = 1e-9  # per-unit allowance on the accumulated imaginary part
 def _side(d: int) -> int:
     """The least s with s^2 >= d: every y in [0, d) is s i + j with 0 <= i, j < s."""
     return math.isqrt(d - 1) + 1
-
-
-def _units(d: int) -> np.ndarray:
-    """Residues in [1, d) prime to d, ascending: clear the multiples of each p | d."""
-    keep = np.ones(d, dtype=bool)
-    for p, _ in factorize(d):
-        keep[::p] = False
-    return np.flatnonzero(keep).astype(np.int64)
 
 
 def _batch_inverse(units: np.ndarray, d: int) -> np.ndarray:
@@ -125,7 +117,7 @@ class KloostermanEvaluator:
                 inverses=np.zeros(0, dtype=np.int64),
                 twiddle=np.ones(1, dtype=np.complex128),
             )
-        units = _units(d)
+        units = reduced_residues(d)
         phi = len(units)
         # Only the lower half is inverted; the units are symmetric under
         # u -> d - u and inv(d - u) = d - inv(u).
@@ -154,21 +146,11 @@ class KloostermanEvaluator:
             return self.twiddle[idx]
         return np.exp(2j * np.pi / self.d * idx)
 
-    def value_complex(self, m: int, n: int) -> complex:
-        if self.d == 1:
-            return 1.0 + 0.0j
-        m %= self.d
-        n %= self.d
-        idx = (m * self.units + n * self.inverses) % self.d
-        return complex(self._phases(idx).sum())
-
     def value(self, m: int, n: int) -> float:
-        z = self.value_complex(m, n)
-        if abs(z.imag) > _IMAG_SLACK * max(self.phi, 1):
-            raise FloatingPointError(
-                f"K_{self.d}({m},{n}) imaginary part {z.imag:.3e} exceeds tolerance"
-            )
-        return z.real
+        if self.d == 1:
+            return 1.0
+        idx = (m % self.d * self.units + n % self.d * self.inverses) % self.d
+        return float(self._real_part(self._phases(idx).sum(), f"{m},{n}"))
 
     def _real_part(self, z: np.ndarray, label: str) -> np.ndarray:
         """z.real, after checking every |Im z| against the per-unit slack."""

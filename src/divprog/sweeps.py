@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import is_prime, reduced_residues
 from .errors import ConfigInvalid
 from .mainterm import (
     error_sums,
@@ -262,7 +262,7 @@ def _interval_rows(cfg: ExperimentConfig, rng: np.random.Generator) -> list[dict
     for X in sorted(cfg.x_grid):
         for q in sorted(cfg.modulus_grid):
             R = error_vector(X, q).R
-            units = [a for a in range(1, q) if math.gcd(a, q) == 1]
+            units = reduced_residues(q) if cfg.set_kind == "random" else None
             for spec in cfg.lengths:
                 A_req = _resolve_length(spec, q)
                 for B in sorted(cfg.offsets):
@@ -272,7 +272,7 @@ def _interval_rows(cfg: ExperimentConfig, rng: np.random.Generator) -> list[dict
                     else:
                         size = min(A_req, len(units))
                         residues = sorted(
-                            int(a) for a in rng.choice(np.asarray(units), size=size, replace=False)
+                            int(a) for a in rng.choice(units, size=size, replace=False)
                         )
                         dropped = 0
                         descriptor = f"random({size})"

@@ -32,13 +32,19 @@ and each window into equal steps of z = c sqrt(x) no wider than one
 phase interval pi (Y1) or two e-foldings (K1; nothing past z = 50), with
 the nested 12-point Gauss / 25-point Kronrod rule inside each panel (see
 quadrature.py).  All weights of one (d, sign) are evaluated together, in
-blocks of nodes.  The factor w'(x) sqrt(x) does not depend on n: the
-weights whose windows have the same panel count (and end) share their
-panels, and the factor is evaluated once per distinct panel.  The
-Kronrod value is the integral and its distance from the Gauss value on
-the same nodes the error estimate; the weights above the 1e-8 target get one
-uniform refinement before they are flagged.  Convergence problems are
-reported on the returned value, never raised.
+runs of weights of about _BLOCK_NODES nodes.  The factor w'(x) sqrt(x)
+does not depend on n: the weights whose windows have the same panel
+count (and end) share their panels, and the factor is evaluated once
+per distinct panel.  The Kronrod value is the integral.  Its error
+estimate is its distance from the Gauss value on the same nodes,
+relative to the Kronrod value of int |w'(x) sqrt(x) kernel| (so a
+cancelling weight is judged by the digits the sum can hold), floored at
+1e-10 of the flat-regime magnitude X/d (without the floor, negligible
+weights, such as K1 past the cut or decayed tails, read large relative
+estimates).  The weights above the 1e-8 target are integrated again by
+the same pipeline on every panel cut in two, checked against their
+first value, and flagged if the two differ by more.  Convergence
+problems are reported on the returned value, never raised.
 
 The n-sum is folded per divisor: with W^+-[r] = sum_{n = r (d)} tau(n)
 u_d^+-(n), the block is sum_{x unit} T(x) e_d(a xbar), where
@@ -64,7 +70,6 @@ from .tausieve import sieve_tau
 _K_ARG_CUT = 50.0  # K1 below exp(-50); beyond this the integrand is dead
 _MAX_PANELS = 4000  # per weight
 _WINDOWS = 6  # per transition
-_BLOCK_PANELS = 4096  # panels built at once
 _BLOCK_NODES = 16384  # kernel evaluations per block: few Python steps, temporaries of 128 KiB
 _TARGET = 1e-8  # relative error estimate above which a weight is refined, then flagged
 
@@ -74,35 +79,15 @@ def truncation_thresholds(d: int, X: float, Y: float, eps: float = 0.05) -> tupl
     return d * d / X, d * d * X ** (1.0 + eps) / (Y * Y)
 
 
-@dataclass(frozen=True)
-class _Panels:
-    """Quadrature panels of the weights indexed by owner.
-
-    Panels that coincide for several weights are stored once: panel i is
-    [lo[shape[i]], hi[shape[i]]].
-    """
-
-    owner: np.ndarray
-    shape: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def refined(self, keep: np.ndarray) -> "_Panels":
-        """The panels of the weights in `keep`, each split at its midpoint."""
-        sel = keep[self.owner]
-        used, inverse = np.unique(self.shape[sel], return_inverse=True)
-        lo, hi = self.lo[used], self.hi[used]
-        mid = 0.5 * (lo + hi)
-        return _Panels(np.repeat(self.owner[sel], 2), (2 * inverse[:, None] + np.arange(2)).ravel(),
-                       np.column_stack([lo, mid]).ravel(), np.column_stack([mid, hi]).ravel())
-
-
-def _windows(cutoff: SmoothCutoff, c: np.ndarray,
-             oscillatory: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _windows(cutoff: SmoothCutoff, c: np.ndarray, oscillatory: bool,
+             split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sqrt of each window's ends, and its panel count; shape (windows, len(c)).
 
     Each transition is cut into _WINDOWS windows, and a window for scale c
-    into as few equal steps of z = c sqrt(x) as keep each within `step`.
+    into as few equal steps of z = c sqrt(x) as keep each within pi (Y1)
+    or 2 (K1), each step then into `split` equal parts.  So a split
+    panel table nests in the unsplit one, and every cell, even one of a
+    single step, gets new nodes.
     """
     Y, X = cutoff.Y, cutoff.X
     width = Y / _WINDOWS
@@ -114,19 +99,20 @@ def _windows(cutoff: SmoothCutoff, c: np.ndarray,
         hi = np.minimum(hi, (_K_ARG_CUT / c) ** 2)
     root_lo, root_hi = np.sqrt(lo), np.sqrt(np.maximum(hi, lo))
     step = math.pi if oscillatory else 2.0
-    counts = np.ceil(c * (root_hi - root_lo) / step).astype(np.int64)
+    counts = split * np.ceil(c * (root_hi - root_lo) / step).astype(np.int64)
     per_weight = counts.sum(axis=0)
-    if per_weight.size and per_weight.max() > _MAX_PANELS:
+    cap = split * _MAX_PANELS
+    if per_weight.size and per_weight.max() > cap:
         raise SupportTooLarge(
-            f"weight quadrature needs {per_weight.max()} panels, over the cap of {_MAX_PANELS}"
+            f"weight quadrature needs {per_weight.max()} panels, over the cap of {cap}"
         )
     return root_lo, root_hi, counts
 
 
-def _groups(per_weight: np.ndarray) -> list[slice]:
-    """Runs of consecutive weights holding about _BLOCK_PANELS panels each."""
-    first = np.cumsum(per_weight) - per_weight
-    cuts = (np.flatnonzero(np.diff(first // _BLOCK_PANELS)) + 1).tolist()
+def _groups(per_weight: np.ndarray, nodes: int) -> list[slice]:
+    """Runs of consecutive weights holding about _BLOCK_NODES nodes each."""
+    first = (np.cumsum(per_weight) - per_weight) * nodes
+    cuts = (np.flatnonzero(np.diff(first // _BLOCK_NODES)) + 1).tolist()
     bounds = [0, *cuts, per_weight.size]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -165,16 +151,6 @@ def _distinct_panels(root_lo: np.ndarray, root_hi: np.ndarray,
     return first.reshape(counts.shape), (r0 + j * dr) ** 2, (r0 + (j + 1) * dr) ** 2
 
 
-def _panels(first: np.ndarray, counts: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> _Panels:
-    """The panels of a run of weights, window by window.
-
-    In that order a block of consecutive panels holds similar kernel
-    arguments (the Hankel expansion's term count follows its argument).
-    """
-    cell, j = _enumerate(counts.ravel())
-    return _Panels(cell % counts.shape[1], first.ravel()[cell] + j, lo, hi)
-
-
 def _node_table(lo: np.ndarray, hi: np.ndarray,
                 cutoff: SmoothCutoff) -> tuple[np.ndarray, np.ndarray]:
     """sqrt(x) at the rule's nodes on each panel [lo, hi], and w'(x) sqrt(x) times the half width.
@@ -189,48 +165,35 @@ def _node_table(lo: np.ndarray, hi: np.ndarray,
     return root, factor
 
 
-def _integrate(panels: _Panels, table: tuple[np.ndarray, np.ndarray], c: np.ndarray,
-               kernel) -> np.ndarray:
-    """int w'(x) sqrt(x) kernel(c sqrt(x)) dx per weight, over its panels.
+def _integrals(cutoff: SmoothCutoff, c: np.ndarray, oscillatory: bool, kernel,
+               split: int = 1) -> tuple[np.ndarray, int]:
+    """int w'(x) sqrt(x) kernel(c sqrt(x)) dx per weight, and the panels used.
 
-    Column 0 by the 25-point Kronrod rule, column 1 by the 12-point Gauss
-    rule on the same nodes.
+    The panels are those of _windows, each cut into `split`.  Columns: the
+    25-point Kronrod value, the 12-point Gauss value on the same nodes, and
+    the Kronrod value of the integrand's absolute value.  The panels of a
+    run of weights are taken window by window, so that one block holds
+    similar kernel arguments (the Hankel expansion's term count follows
+    its argument).
     """
-    root, factor = table
+    root_lo, root_hi, counts = _windows(cutoff, c, oscillatory, split)
+    first, lo, hi = _distinct_panels(root_lo, root_hi, counts)
+    root, factor = _node_table(lo, hi, cutoff)
     _, kronrod, gauss = gauss_kronrod()
     rules = np.column_stack([kronrod, gauss])
-    out = np.zeros((len(c), 2))
-    step = max(1, _BLOCK_NODES // kronrod.size)
-    for s in range(0, panels.owner.size, step):
-        owner, shape = panels.owner[s:s + step], panels.shape[s:s + step]
-        z = c[owner][:, None] * root[shape]
-        sums = (factor[shape] * kernel(z.ravel()).reshape(z.shape)) @ rules
-        for col in range(2):
-            out[:, col] += np.bincount(owner, weights=sums[:, col], minlength=len(c))
-    return out
-
-
-def _estimate(panels: _Panels, table: tuple[np.ndarray, np.ndarray], c: np.ndarray,
-              by_parts: np.ndarray, kernel, cutoff: SmoothCutoff,
-              scale: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """Integrals, error estimates and panels used, for the weights of `panels`.
-
-    The Kronrod values are checked against the Gauss ones on the same
-    nodes; weights above _TARGET are refined once and checked against
-    their first value.
-    """
-    fine, coarse = (by_parts[:, None] * _integrate(panels, table, c, kernel)).T
-    err = np.abs(fine - coarse) / np.maximum(np.abs(fine), scale)
-    redo = err > _TARGET
-    used = panels.owner.size
-    if redo.any():
-        panels = panels.refined(redo)
-        used += panels.owner.size // 2
-        table = _node_table(panels.lo, panels.hi, cutoff)
-        refined = by_parts * _integrate(panels, table, c, kernel)[:, 0]
-        err[redo] = (np.abs(refined - fine) / np.maximum(np.abs(refined), scale))[redo]
-        fine[redo] = refined[redo]
-    return fine, err, used
+    per_weight = counts.sum(axis=0)
+    out = np.zeros((len(c), 3))
+    for g in _groups(per_weight, kronrod.size):
+        size = g.stop - g.start
+        cell, j = _enumerate(counts[:, g].ravel())
+        owner = cell % size
+        shape = first[:, g].ravel()[cell] + j
+        z = c[g][owner][:, None] * root[shape]
+        values = factor[shape] * kernel(z.ravel()).reshape(z.shape)
+        sums = np.column_stack([values @ rules, np.abs(values) @ kronrod])
+        for col in range(3):
+            out[g, col] = np.bincount(owner, weights=sums[:, col], minlength=size)
+    return out, int(per_weight.sum())
 
 
 @dataclass(frozen=True)
@@ -242,7 +205,7 @@ class WeightValue:
     """
 
     value: float | np.ndarray
-    error_estimate: float | np.ndarray  # relative, against the value or the regime scale
+    error_estimate: float | np.ndarray  # relative, against int |integrand| or the regime scale
     converged: bool
     panels: int
 
@@ -261,17 +224,16 @@ def weight_u(d: int, n, sign: int, cutoff: SmoothCutoff) -> WeightValue:
     else:
         kernel, prefactor = bessel_y1, -2.0 * math.pi / d
         by_parts = -2.0 / c  # int w Y0 = -(2/c) int w' sqrt(x) Y1
-    root_lo, root_hi, counts = _windows(cutoff, c, oscillatory=sign < 0)
-    first, lo, hi = _distinct_panels(root_lo, root_hi, counts)
-    table = _node_table(lo, hi, cutoff)
-    scale = 1e-10 * cutoff.X / d  # floor: 1e-10 of the flat-regime magnitude
-    fine = np.zeros(len(c))
-    err = np.zeros(len(c))
-    n_panels = 0
-    for g in _groups(counts.sum(axis=0)):
-        panels = _panels(first[:, g], counts[:, g], lo, hi)
-        fine[g], err[g], used = _estimate(panels, table, c[g], by_parts[g], kernel, cutoff,
-                                          scale)
+    floor = 1e-10 * cutoff.X / d  # 1e-10 of the flat-regime magnitude
+    sums, n_panels = _integrals(cutoff, c, sign < 0, kernel)
+    fine, coarse, mass = by_parts * sums.T
+    err = np.abs(fine - coarse) / np.maximum(np.abs(mass), floor)
+    redo = np.flatnonzero(err > _TARGET)
+    if redo.size:
+        sums, used = _integrals(cutoff, c[redo], sign < 0, kernel, split=2)
+        refined, _, mass = by_parts[redo] * sums.T
+        err[redo] = np.abs(refined - fine[redo]) / np.maximum(np.abs(mass), floor)
+        fine[redo] = refined
         n_panels += used
     value = prefactor * fine
     if np.ndim(n) == 0:
@@ -362,7 +324,3 @@ def voronoi_error_terms(
         )
         for a, t in zip(a_list, totals)
     ]
-
-
-def voronoi_error_term(X: int, q: int, a: int, Y: float, eps: float = 0.05) -> VoronoiErrorTerm:
-    return voronoi_error_terms(X, q, [a], Y, eps)[0]

@@ -14,6 +14,7 @@ from divprog.arith import (
     mod_inverse,
     primitive_root,
     ramanujan_sum,
+    reduced_residues,
     tau_of,
 )
 from divprog.errors import InvalidModulus, NotInvertible, NotPrime
@@ -164,3 +165,10 @@ def test_primitive_root_rejects_composites():
         primitive_root(15)
     with pytest.raises(NotPrime):
         primitive_root(1)
+
+
+def test_reduced_residues_against_gcd_filter():
+    for d in (1, 2, 3, 4, 12, 97, 420, 1009, 30030):
+        got = reduced_residues(d)
+        assert got.dtype.name == "int64"
+        assert got.tolist() == [a for a in range(1, d) if math.gcd(a, d) == 1], d

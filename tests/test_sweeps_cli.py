@@ -9,6 +9,7 @@ import pytest
 
 from divprog import cli, voronoi
 from divprog import kloosterman as kloosterman_module
+from divprog.characters import fourth_moment
 from divprog.cli import main
 from divprog.errors import ConfigInvalid
 from divprog.kloosterman import kloosterman
@@ -351,6 +352,16 @@ def test_cli_moment4_and_congcount(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["count"] == 64
+
+
+def test_cli_moment4_prints_the_exact_integer(capsys):
+    # the pair route's moment is an exact integer; the report format's 12
+    # significant digits would print 4323890292680.0
+    rc = main(["moment4", "--p", "999983", "--k", "12345", "--h", "1500"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert '"moment": 4323890292685,' in out
+    assert json.loads(out)["moment"] == fourth_moment(999983, 12345, 1500) == 4323890292685
 
 
 def test_cli_poisson_check(capsys):

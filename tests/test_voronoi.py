@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from divprog import voronoi
 from divprog.cutoff import SmoothCutoff
 from divprog.errors import InvalidRange, NonReducedResidue, SupportTooLarge
 from divprog.mainterm import error_vector
 from divprog.voronoi import (
     error_budget,
     truncation_thresholds,
-    voronoi_error_term,
     voronoi_error_terms,
     weight_u,
 )
@@ -99,6 +99,50 @@ def test_by_parts_weights_against_direct_quadrature_at_bench_scale():
             assert abs(value - want) <= 1e-8 * regime, (n, sign, value, want)
 
 
+def test_cancelling_weight_converges_against_integrand_scale(monkeypatch):
+    # u^-_46411(27221) at X = 1e7 is about 1e5 times smaller than its
+    # integrand; its error estimate is measured against the integral of
+    # |integrand|, so it needs no refinement and is not flagged
+    X, d, n = 1e7, 46411, 27221
+    cutoff = SmoothCutoff(X=X, Y=math.sqrt(d * X))
+    got = weight_u(d, n, -1, cutoff)
+    assert got.converged and got.error_estimate <= 1e-8
+    monkeypatch.setattr(voronoi, "_TARGET", math.inf)
+    assert got.panels == weight_u(d, n, -1, cutoff).panels
+    want = _direct_weight(d, n, -1, cutoff)
+    regime = X**0.25 * math.sqrt(d) * n**-0.75
+    assert abs(got.value - want) <= 1e-8 * regime, (got.value, want)
+
+
+def test_refined_weights_against_direct_quadrature(monkeypatch):
+    # every weight refined: the second pass, on every panel cut in two,
+    # must agree with the direct quadrature as the first does
+    X, d = 1e6, 1009
+    Y = math.sqrt(d * X)
+    cutoff = SmoothCutoff(X=X, Y=Y)
+    U, V = truncation_thresholds(d, X, Y)
+    ns = np.array([1, 2, 3, 10, 57, 300, 1000, int(V)])
+    for sign in (+1, -1):
+        first = weight_u(d, ns, sign, cutoff)
+        monkeypatch.setattr(voronoi, "_TARGET", -1.0)
+        refined = weight_u(d, ns, sign, cutoff)
+        monkeypatch.undo()
+        assert refined.panels == 3 * first.panels
+        for n, value in zip(ns, refined.value):
+            regime = X / d if n <= U else X**0.25 * math.sqrt(d) * n**-0.75
+            want = _direct_weight(d, int(n), sign, cutoff)
+            assert abs(value - want) <= 1e-8 * regime, (n, sign, value, want)
+        # half of them refined: the batch refines the same weights as the
+        # scalar calls do
+        monkeypatch.setattr(voronoi, "_TARGET", float(np.median(first.error_estimate)))
+        part = weight_u(d, ns, sign, cutoff)
+        singles = [weight_u(d, int(n), sign, cutoff) for n in ns]
+        monkeypatch.undo()
+        assert first.panels < part.panels == sum(w.panels for w in singles) < refined.panels
+        for value, w in zip(part.value, singles):
+            assert abs(value - w.value) <= 1e-13 * abs(w.value)
+
+
 def test_weight_array_matches_scalar_calls():
     cutoff = SmoothCutoff(X=2000.0, Y=300.0)
     ns = np.array([1, 2, 7, 40])
@@ -156,12 +200,12 @@ def test_batch_matches_singletons():
     X, q, Y = 2000, 12, 320.0
     batch = voronoi_error_terms(X, q, [1, 5, 7], Y)
     for r in batch:
-        single = voronoi_error_term(X, q, r.a, Y)
+        single = voronoi_error_terms(X, q, [r.a], Y)[0]
         assert abs(single.approx_R - r.approx_R) < 1e-12
 
 
 def test_truncation_report_shape():
-    r = voronoi_error_term(2000, 12, 1, 300.0)
+    r = voronoi_error_terms(2000, 12, [1], 300.0)[0]
     ds = [e.d for e in r.truncation_report]
     assert ds == [1, 2, 3, 4, 6, 12]
     # small divisors fall below V < 1 and carry no terms
@@ -173,7 +217,7 @@ def test_truncation_report_shape():
 
 def test_non_reduced_residue_rejected():
     with pytest.raises(NonReducedResidue):
-        voronoi_error_term(2000, 12, 4, 300.0)
+        voronoi_error_terms(2000, 12, [4], 300.0)
 
 
 def test_identity_improves_with_larger_y():
@@ -181,5 +225,5 @@ def test_identity_improves_with_larger_y():
     X, q = 2000, 12
     ev = error_vector(X, q)
     for Y in (120.0, 450.0, 900.0):
-        r = voronoi_error_term(X, q, 5, Y)
+        r = voronoi_error_terms(X, q, [5], Y)[0]
         assert abs(float(ev.R[5]) - r.approx_R) <= r.budget
