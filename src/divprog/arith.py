@@ -28,11 +28,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def mod_inverse(x: int, d: int) -> int:
-    """Inverse of x modulo d, reduced to [0, d).  d = 1 gives 0."""
+    """Inverse of x modulo d, reduced to [0, d).  d = 1 gives 0, as pow does."""
     if d <= 0:
         raise InvalidModulus(f"modulus must be positive, got {d}")
-    if d == 1:
-        return 0
     try:
         return pow(x, -1, d)
     except ValueError:
@@ -136,9 +134,13 @@ def divisors(n: int) -> list[int]:
 
 
 def reduced_residues(d: int) -> np.ndarray:
-    """Residues in [1, d) prime to d, ascending, as int64: clear the multiples of each p | d."""
+    """The units of Z/d: residues in [0, d) prime to d, ascending, as int64.
+
+    Clear the multiples of each p | d.  For d >= 2 that clears 0; d = 1 has
+    no prime factor and keeps [0], since gcd(0, 1) = 1, so the count is
+    euler_phi(d) for every d.
+    """
     keep = np.ones(d, dtype=bool)
-    keep[0] = False
     for p, _ in factorize(d):
         keep[::p] = False
     return np.flatnonzero(keep).astype(np.int64)

@@ -65,6 +65,7 @@ from .errors import InvalidRange, NotPrime, NotPrimitive
 _BRUTE_CAP = 4 * 10**6  # pair-enumeration ceiling for the histogram route
 _PAIR_BLOCK = 1 << 20  # pair sums binned per step (8 MiB of int64)
 _DFT_OVER_PAIRS = 0.5  # moment: pairs while (H+1)^2 <= this * p log2 p (fit in fourth_moment)
+_BRUTE_TERMS = 10**6  # window length ceiling of the literal fourth-moment loop
 
 
 @dataclass(frozen=True)
@@ -166,11 +167,11 @@ def fourth_moment(p: int, K: int, H: int) -> float:
     return float(n * int(np.dot(c, c)) - N**4)
 
 
-def fourth_moment_brute(p: int, K: int, H: int, x_budget: int = 10**6) -> float:
+def fourth_moment_brute(p: int, K: int, H: int) -> float:
     """Literal double loop over characters and x; the test oracle."""
     if H < 0:
         raise InvalidRange(f"need H >= 0, got {H}")
-    if H + 1 > x_budget:
+    if H + 1 > _BRUTE_TERMS:
         raise InvalidRange(f"brute force over {H + 1} terms exceeds budget")
     table = character_table(p)
     xs = np.arange(K, K + H + 1, dtype=np.int64) % p
@@ -245,8 +246,6 @@ def multiplicative_congruence_count(
     """Exact count of x1 x2 = x3 x4 mod p with no factor divisible by p."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if any(_box_length(b) == 0 for b in (box1, box2, box3, box4)):
-        return 0
     h12 = _product_histogram(p, box1, box2)
     if (box3, box4) in ((box1, box2), (box2, box1)):
         return int(np.dot(h12, h12))
@@ -300,7 +299,6 @@ def congruence_bound_report(
     lengths = tuple(_box_length(b) for b in (box1, box2, box3, box4))
     prod = math.prod(lengths)
     envelope = prod / p + math.sqrt(prod)
-    ratio = count / envelope if envelope > 0 else 0.0
     return CongruenceBoundReport(
-        count=count, p=p, lengths=lengths, envelope=envelope, ratio=ratio
+        count=count, p=p, lengths=lengths, envelope=envelope, ratio=count / envelope
     )

@@ -1,15 +1,14 @@
 """Command-line front end.
 
 Subcommands map one-to-one onto library operations; table-like results
-go to report files under --out-dir (or to --out), named <stem>.csv or
-<stem>.json after --format, and single-object results go to stdout as
-JSON.  Exit codes: 0 success, 2 for configuration or usage problems
-(the package's own error types, see errors.py), 3 when a sweep's
-configured envelope threshold is breached (CI gating), 4 for an internal
-failure: a numerical self-check (an arithmetic or runtime error, such as
-a Kloosterman sum whose imaginary part is not rounding noise) or any
-other ValueError, numpy's included; exits 2 and 4 print one line on
-stderr.
+go to report files under --out-dir, named <stem>.csv or <stem>.json
+after --format, and single-object results go to stdout as JSON.  Exit
+codes: 0 success, 2 for configuration or usage problems (the package's
+own error types, see errors.py), 3 when a sweep's configured envelope
+threshold is breached (CI gating), 4 for an internal failure: a
+numerical self-check (an arithmetic or runtime error, such as a
+Kloosterman sum whose imaginary part is not rounding noise) or any other
+ValueError, numpy's included; exits 2 and 4 print one line on stderr.
 
 --threads is accepted for interface stability and has no effect:
 computation is vectorized in one thread, and reports do not record it
@@ -85,13 +84,10 @@ def _residue_set(text: str, q: int) -> list[int]:
 
 
 def _write_rows(args, rows: list[dict], stem: str) -> int:
-    """Write rows to --out, or to stem.<format> under --out-dir; print the path, return exit 0."""
-    if getattr(args, "out", None):
-        path = Path(args.out)
-    else:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{stem}.{args.format}"
+    """Write rows to stem.<format> under --out-dir; print the path, return exit 0."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"{stem}.{args.format}"
     sweeps.emit_report(rows, args.format, path, seed=args.seed)
     print(path)
     return 0
@@ -294,21 +290,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--a", type=int)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_tau)
 
     p = add("errors", "S, M, R over a residue set")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--set", required=True, help="interval 'B,A' or a file of residues")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_errors)
 
     p = add("exceptional", "residues with R >= X^(1/3 - kappa)")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_exceptional)
 
     p = add("kloosterman", "K_d(m, n) scalar or batched over a")
@@ -316,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--batch-a", help="inclusive range 'lo,hi' of a values")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_kloosterman)
 
     p = add("bilinear", "bilinear Kloosterman sum and bound ratios")
@@ -333,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--a", required=True, help="comma list of residues or 'all-coprime'")
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_voronoi_check)
 
     p = add("poisson-check", "both sides of the summation formula")

@@ -2,8 +2,9 @@
 
 The sums are real (x -> -x pairs conjugate terms), so the public value is
 the real part with the accumulated imaginary part checked to be noise.
-K_1 := 1 by the empty-group convention; the divisor-sum decomposition
-needs the d = 1 term to contribute a unit.
+The unit group of Z/1 is {0} (gcd(0, 1) = 1, and 0 is its own inverse),
+so the general sum gives K_1(m, n) = e_1(0) = 1: the unit that the d = 1
+term of the divisor-sum decomposition needs, with no special case.
 
 Three routes, used against each other in the tests:
 
@@ -16,8 +17,9 @@ Three routes, used against each other in the tests:
     s = isqrt(d - 1) + 1, so e_d(a y) = e_d(a s i) e_d(a j) and a block
     of a values costs one s x s contraction (phase_sums; its adjoint
     phase_grid serves the brute bilinear sum).  Its scratch is one grid
-    of 16 s^2 bytes, within the evaluator's own 32 d bytes for
-    d <= TWIDDLE_CAP, plus phase tables of _PHASE_BLOCK entries,
+    of 16 s^2 >= 16 d bytes, no less than the fft route's length-d
+    array, plus phase tables of _PHASE_BLOCK entries, so auto picks the
+    route by time alone,
   * full table: all K_d(m, n) at once from one row per divisor g of d.
     For a unit u, K_d(g u, n) = K_d(g, u n) (substitute x -> ubar x), so
     every row m with gcd(m, d) = g is a gather of the row K_d(g, .),
@@ -63,7 +65,7 @@ def _side(d: int) -> int:
 
 
 def _batch_inverse(units: np.ndarray, d: int) -> np.ndarray:
-    """u^-1 mod d for every u in units (all prime to d, d >= 2), by a product tree.
+    """u^-1 mod d for every u in units (all prime to d), by a product tree.
 
     Going up, each level holds the pairwise products mod d of the one
     below, an odd-length level padded with 1.  The root is inverted once;
@@ -110,13 +112,6 @@ class KloostermanEvaluator:
             # product tree and index arithmetic overflow-free
             # (products below d^2 <= 10^16 << 2^63)
             raise WindowTooLarge(f"complete sums over d = {d} are beyond desk scale")
-        if d == 1:
-            return cls(
-                d=1,
-                units=np.zeros(0, dtype=np.int64),
-                inverses=np.zeros(0, dtype=np.int64),
-                twiddle=np.ones(1, dtype=np.complex128),
-            )
         units = reduced_residues(d)
         phi = len(units)
         # Only the lower half is inverted; the units are symmetric under
@@ -139,7 +134,7 @@ class KloostermanEvaluator:
 
     @property
     def phi(self) -> int:
-        return len(self.units) if self.d > 1 else 1
+        return len(self.units)
 
     def _phases(self, idx: np.ndarray) -> np.ndarray:
         if self.twiddle is not None:
@@ -147,8 +142,6 @@ class KloostermanEvaluator:
         return np.exp(2j * np.pi / self.d * idx)
 
     def value(self, m: int, n: int) -> float:
-        if self.d == 1:
-            return 1.0
         idx = (m % self.d * self.units + n % self.d * self.inverses) % self.d
         return float(self._real_part(self._phases(idx).sum(), f"{m},{n}"))
 
@@ -164,8 +157,6 @@ class KloostermanEvaluator:
     def batch_over_a(self, m: int, a_values, method: str = "auto") -> np.ndarray:
         """K_d(m, a) for each a in a_values; 'direct', 'fft' or 'auto'."""
         a_arr = np.asarray(list(a_values), dtype=np.int64) % self.d
-        if self.d == 1:
-            return np.ones(len(a_arr))
         if method == "auto":
             # Fitted on 2 cores with numpy 2.4: direct costs 2.2-3.4 ns per
             # a per grid cell (s^2 ~ d), fft one length-d transform.  The two
@@ -176,7 +167,7 @@ class KloostermanEvaluator:
             # 7.4; c = 3 errs by at most ~3x either way.
             direct_cost = len(a_arr) * self.side**2
             fft_cost = _FFT_OVER_DIRECT * self.d * math.log2(self.d)
-            method = "fft" if direct_cost > fft_cost and self.twiddle is not None else "direct"
+            method = "fft" if direct_cost > fft_cost else "direct"
         if method not in ("direct", "fft"):
             raise ConfigInvalid(f"unknown method {method!r}")
         t = self._phases(m % self.d * self.units % self.d)
@@ -231,7 +222,7 @@ class KloostermanEvaluator:
         return grid.ravel()
 
     def over_inverses(self, t: np.ndarray) -> np.ndarray:
-        """sum_x t[i] e_d(a xbar) for every a in [0, d), x = units[i]; d >= 2.
+        """sum_x t[i] e_d(a xbar) for every a in [0, d), x = units[i].
 
         t is scattered to the inverses and summed by one length-d inverse DFT.
         """
@@ -255,8 +246,6 @@ def kloosterman_table(d: int) -> np.ndarray:
         raise InvalidModulus(f"modulus must be >= 1, got {d}")
     if d > _TABLE_CAP:
         raise WindowTooLarge(f"full table for d = {d} exceeds the {_TABLE_CAP} cap")
-    if d == 1:
-        return np.ones((1, 1))
     ev = _evaluator(d)
     table = np.empty((d, d))
     n = np.arange(d, dtype=np.int64)
@@ -283,6 +272,6 @@ class WeilCheck:
 def check_weil(d: int, m: int, n: int) -> WeilCheck:
     """|K_d(m,n)| against tau(d) gcd(m,n,d)^(1/2) d^(1/2)."""
     v = kloosterman(d, m, n)
-    g = math.gcd(m % d if d > 1 else 0, n % d if d > 1 else 0, d)
+    g = math.gcd(m, n, d)
     bound = tau_of(d) * math.sqrt(g) * math.sqrt(d)
     return WeilCheck(value=v, bound=bound, ok=abs(v) <= bound + 1e-6)

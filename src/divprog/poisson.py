@@ -200,8 +200,6 @@ def _lhs_lattice(g: ProductTestFunction, weight_of_product) -> complex:
     m2 = _lattice_points(g.gy)
     if len(m1) * len(m2) > _LATTICE_CAP:
         raise SupportTooLarge(f"{len(m1)}x{len(m2)} lattice points exceed the enumeration cap")
-    if len(m1) == 0 or len(m2) == 0:
-        return 0j
     v1 = g.gx(m1)
     v2 = g.gy(m2)
     prods = m1[:, None] * m2[None, :]

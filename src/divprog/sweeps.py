@@ -133,7 +133,7 @@ class ExperimentConfig:
         else:
             allowed = {"ratio_interval_abs", "ratio_interval_signed", "ratio_set_abs"}
         for name in self.thresholds:
-            if name.removeprefix("max_") not in allowed:
+            if name not in allowed:
                 raise ConfigInvalid(
                     f"thresholds: unknown key {name!r}; expected one of {sorted(allowed)}"
                 )
@@ -307,9 +307,7 @@ def _interval_rows(cfg: ExperimentConfig, rng: np.random.Generator) -> list[dict
                         ),
                         "rhs_set_abs": r13,
                         "ratio_set_abs": D / r13 if A_eff else float("nan"),
-                        "in_regime_set_abs": bool(
-                            A_eff and prime and set_abs_regime(A_eff, X, q, cfg.eps)
-                        ),
+                        "in_regime_set_abs": bool(A_eff and set_abs_regime(A_eff, X, q, cfg.eps)),
                     })
     return rows
 
@@ -357,7 +355,7 @@ def run_theorem_sweep(cfg: ExperimentConfig, out_dir: str | Path, fmt: str = "cs
         all_rows = [r[key] for r in rows if math.isfinite(r[key])]
         summary["max_" + key] = max(all_rows) if all_rows else None
         summary["max_" + key + "_in_regime"] = max(in_rows) if in_rows else None
-        limit = cfg.thresholds.get("max_" + key, cfg.thresholds.get(key))
+        limit = cfg.thresholds.get(key)
         if limit is not None and in_rows and max(in_rows) > limit:
             breaches.append(f"max_{key}={max(in_rows):.6g} exceeds threshold {limit}")
     summary["breaches"] = breaches

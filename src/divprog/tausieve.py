@@ -265,7 +265,7 @@ def progression_sum_single(X: int, q: int, a: int) -> int:
         if a % g:
             continue
         qq = q // g
-        m0 = (a // g) * pow(d // g, -1, qq) % qq if qq > 1 else 0
+        m0 = (a // g) * pow(d // g, -1, qq) % qq  # pow(., -1, 1) is 0
         hi = X // d
         total += 2 * ((hi - m0) // qq - (d - 1 - m0) // qq)
     # remove the double-counted diagonal d = m

@@ -276,8 +276,6 @@ def error_budget(q: int, Y: float) -> float:
 
 def _fold(d: int, W_plus: np.ndarray, W_minus: np.ndarray, a_arr: np.ndarray) -> np.ndarray:
     """sum_r W^+[r] K_d(-r, a) + W^-[r] K_d(r, a) for each a, by three DFTs."""
-    if d == 1:
-        return np.full(len(a_arr), W_plus[0] + W_minus[0])  # K_1 = 1
     ev = _evaluator(d)
     T = np.fft.fft(W_plus) + d * np.fft.ifft(W_minus)
     return ev.over_inverses(T[ev.units]).real[a_arr]

@@ -171,4 +171,5 @@ def test_reduced_residues_against_gcd_filter():
     for d in (1, 2, 3, 4, 12, 97, 420, 1009, 30030):
         got = reduced_residues(d)
         assert got.dtype.name == "int64"
-        assert got.tolist() == [a for a in range(1, d) if math.gcd(a, d) == 1], d
+        assert got.tolist() == [a for a in range(d) if math.gcd(a, d) == 1], d
+        assert len(got) == euler_phi(d), d

@@ -294,6 +294,13 @@ def test_congruence_validation():
         multiplicative_congruence_count(10, (1, 2), (1, 2), (1, 2), (1, 2))
     with pytest.raises(InvalidRange):
         multiplicative_congruence_count(7, (3, 1), (1, 2), (1, 2), (1, 2))
+    # every box is checked, by the product histogram that reads it or by
+    # being equal to a box that was
+    for k in range(1, 4):
+        boxes = [(1, 2)] * 4
+        boxes[k] = (3, 1)
+        with pytest.raises(InvalidRange):
+            multiplicative_congruence_count(7, *boxes)
     with pytest.raises(InvalidRange):
         multiplicative_congruence_count_brute(7, (1, 100), (1, 2), (1, 2), (1, 2))
 

@@ -125,7 +125,9 @@ def test_phase_sums_and_grid_match_loops(monkeypatch, no_twiddle):
 
 
 def test_batch_auto_matches_both_routes_across_boundary(monkeypatch):
-    # auto takes fft once len(a) s^2 exceeds _FFT_OVER_DIRECT d log2 d
+    # auto takes fft once len(a) s^2 exceeds _FFT_OVER_DIRECT d log2 d,
+    # whether or not the evaluator holds a twiddle table (second pass:
+    # with the cap below d, as above TWIDDLE_CAP)
     calls = []
     real = KloostermanEvaluator.phase_sums
 
@@ -134,16 +136,19 @@ def test_batch_auto_matches_both_routes_across_boundary(monkeypatch):
         return real(self, g, a)
 
     monkeypatch.setattr(KloostermanEvaluator, "phase_sums", spy)
-    for d in (97, 1000, 2039):
-        ev = KloostermanEvaluator.build(d)
-        edge = int(kloosterman_module._FFT_OVER_DIRECT * d * math.log2(d) / ev.side**2)
-        for count, route in ((edge, "direct"), (edge + 1, "fft")):
-            a_vals = [(7 * i + 3) % d for i in range(count)]
-            calls.clear()
-            auto = ev.batch_over_a(5, a_vals)
-            assert calls == ([count] if route == "direct" else []), (d, count)
-            for method in ("direct", "fft"):
-                assert np.allclose(auto, ev.batch_over_a(5, a_vals, method=method), atol=1e-9), (d, method)
+    for cap in (kloosterman_module.TWIDDLE_CAP, 1):
+        monkeypatch.setattr(kloosterman_module, "TWIDDLE_CAP", cap)
+        for d in (97, 1000, 2039):
+            ev = KloostermanEvaluator.build(d)
+            assert (ev.twiddle is None) == (cap == 1)
+            edge = int(kloosterman_module._FFT_OVER_DIRECT * d * math.log2(d) / ev.side**2)
+            for count, route in ((edge, "direct"), (edge + 1, "fft")):
+                a_vals = [(7 * i + 3) % d for i in range(count)]
+                calls.clear()
+                auto = ev.batch_over_a(5, a_vals)
+                assert calls == ([count] if route == "direct" else []), (d, count, cap)
+                for method in ("direct", "fft"):
+                    assert np.allclose(auto, ev.batch_over_a(5, a_vals, method=method), atol=1e-9), (d, method)
 
 
 def test_over_inverses_matches_loop():
@@ -252,6 +257,19 @@ def test_batch_inverse_against_pow():
         inv = _batch_inverse(ev.units, d)
         assert np.array_equal(inv, ev.inverses), d
         assert np.all((inv >= 0) & (inv < d)) and np.all(ev.units * inv % d == 1), d
+
+
+def test_modulus_one_through_the_unit_group():
+    # Z/1 has the one unit 0 (gcd(0, 1) = 1), its own inverse, so every
+    # route sums the single term e_1(0) = 1
+    ev = KloostermanEvaluator.build(1)
+    assert ev.units.tolist() == [0] and ev.inverses.tolist() == [0] and ev.phi == 1
+    assert ev.value(3, -5) == 1.0
+    for method in ("direct", "fft", "auto"):
+        assert ev.batch_over_a(3, [0, 4, -2], method=method).tolist() == [1.0, 1.0, 1.0], method
+        assert ev.batch_over_a(3, [], method=method).shape == (0,), method
+    assert kloosterman_table(1).tolist() == [[1.0]]
+    assert check_weil(1, 3, 5).bound == 1.0
 
 
 def test_evaluator_reuse_and_phi():

@@ -97,6 +97,7 @@ def test_config_round_trip(tmp_path):
         (lambda d: d.update(sets={"kind": "banana", "lengths": [4]}), "set_kind"),
         (lambda d: d.update(bogus_key=1), "unknown"),
         (lambda d: d.update(thresholds={"ratio_nope": 1}), "thresholds"),
+        (lambda d: d.update(thresholds={"max_ratio_set_abs": 1}), "max_ratio_set_abs"),
     ],
 )
 def test_config_validation_messages(tmp_path, mutate, needle):

@@ -128,6 +128,13 @@ def test_refined_weights_against_direct_quadrature(monkeypatch):
         refined = weight_u(d, ns, sign, cutoff)
         monkeypatch.undo()
         assert refined.panels == 3 * first.panels
+        # the refined value is the second pass's, not the first kept: the
+        # two differ wherever the weight stands above rounding of its scale
+        # (the K0 weight at n = 300, 7.6e-20, agrees to the bit)
+        scale = np.where(ns <= U, X / d, X**0.25 * math.sqrt(d) * ns**-0.75)
+        resolved = np.abs(first.value) > 1e-15 * scale
+        assert resolved.sum() >= 5, sign
+        assert np.all(refined.value[resolved] != first.value[resolved]), sign
         for n, value in zip(ns, refined.value):
             regime = X / d if n <= U else X**0.25 * math.sqrt(d) * n**-0.75
             want = _direct_weight(d, int(n), sign, cutoff)
