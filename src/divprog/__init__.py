@@ -68,6 +68,7 @@ from .mainterm import (
     ErrorVector,
     MainTermPolynomial,
     averaged_errors,
+    error_set,
     error_term,
     error_vector,
     exceptional_set,
@@ -99,6 +100,7 @@ from .tausieve import (
     TauTable,
     divisor_sum_progressions,
     progression_sum_single,
+    progression_sums_set,
     sieve_tau,
     total_divisor_sum,
 )
@@ -180,6 +182,7 @@ __all__ = [
     "ErrorVector",
     "MainTermPolynomial",
     "averaged_errors",
+    "error_set",
     "error_term",
     "error_vector",
     "exceptional_set",
@@ -208,6 +211,7 @@ __all__ = [
     "TauTable",
     "divisor_sum_progressions",
     "progression_sum_single",
+    "progression_sums_set",
     "sieve_tau",
     "total_divisor_sum",
     # voronoi

@@ -10,6 +10,9 @@ The Ramanujan sum r_d(a) = sum_{x in (Z/d)^*} e_d(ax) is computed through
 its divisor form sum_{e | gcd(a,d)} e * mu(d/e); the exponential-sum
 definition serves as the oracle in the tests, never here.  gcd(0, d) = d,
 so r_d(0) = phi(d).
+
+Many inverses mod one d come from a product tree (batch_inverse), with a
+single modular inversion at its root.
 """
 
 from __future__ import annotations
@@ -35,6 +38,31 @@ def mod_inverse(x: int, d: int) -> int:
         return pow(x, -1, d)
     except ValueError:
         raise NotInvertible(f"{x} is not invertible mod {d}") from None
+
+
+def batch_inverse(units: np.ndarray, d: int) -> np.ndarray:
+    """u^-1 mod d for every u in units (all prime to d), by a product tree.
+
+    Going up, each level holds the pairwise products mod d of the one
+    below, an odd-length level padded with 1.  The root is inverted once;
+    going down, the inverse of a child is its parent's inverse times its
+    sibling.  Exact while d^2 < 2^63.
+    """
+    levels = [units]
+    while len(levels[-1]) > 1:
+        level = levels[-1]
+        if len(level) % 2:
+            level = np.append(level, 1)
+            levels[-1] = level
+        levels.append(level[0::2] * level[1::2] % d)
+    inv = np.array([pow(int(levels[-1][0]), -1, d)], dtype=np.int64)
+    for level in reversed(levels[:-1]):
+        inv = inv[: len(level) // 2]  # drop the padding's inverse
+        down = np.empty(len(level), dtype=np.int64)
+        down[0::2] = inv * level[1::2] % d
+        down[1::2] = inv * level[0::2] % d
+        inv = down
+    return inv[: len(units)]
 
 
 def is_prime(n: int) -> bool:

@@ -274,17 +274,19 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere: a prefix such as --out must not turn into --out-dir
     ap = argparse.ArgumentParser(
         prog="divprog",
+        allow_abbrev=False,
         description="Divisor sums over progressions: exact computations and bound experiments.",
     )
     _add_global_flags(ap, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     _add_global_flags(common, suppress=True)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
     def add(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
+        return sub.add_parser(name, help=help_text, parents=[common], allow_abbrev=False)
 
     p = add("tau", "S(X; a, q) for one or all residues")
     p.add_argument("--x", type=int, required=True)

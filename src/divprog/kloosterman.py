@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import divisors, reduced_residues, tau_of
+from .arith import batch_inverse, divisors, reduced_residues, tau_of
 from .errors import ConfigInvalid, InvalidModulus, WindowTooLarge
 
 TWIDDLE_CAP = 10**7  # above this, phases are computed on the fly per call
@@ -62,31 +62,6 @@ _IMAG_SLACK = 1e-9  # per-unit allowance on the accumulated imaginary part
 def _side(d: int) -> int:
     """The least s with s^2 >= d: every y in [0, d) is s i + j with 0 <= i, j < s."""
     return math.isqrt(d - 1) + 1
-
-
-def _batch_inverse(units: np.ndarray, d: int) -> np.ndarray:
-    """u^-1 mod d for every u in units (all prime to d), by a product tree.
-
-    Going up, each level holds the pairwise products mod d of the one
-    below, an odd-length level padded with 1.  The root is inverted once;
-    going down, the inverse of a child is its parent's inverse times its
-    sibling.  Exact while d^2 < 2^63.
-    """
-    levels = [units]
-    while len(levels[-1]) > 1:
-        level = levels[-1]
-        if len(level) % 2:
-            level = np.append(level, 1)
-            levels[-1] = level
-        levels.append(level[0::2] * level[1::2] % d)
-    inv = np.array([pow(int(levels[-1][0]), -1, d)], dtype=np.int64)
-    for level in reversed(levels[:-1]):
-        inv = inv[: len(level) // 2]  # drop the padding's inverse
-        down = np.empty(len(level), dtype=np.int64)
-        down[0::2] = inv * level[1::2] % d
-        down[1::2] = inv * level[0::2] % d
-        inv = down
-    return inv[: len(units)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -116,7 +91,7 @@ class KloostermanEvaluator:
         phi = len(units)
         # Only the lower half is inverted; the units are symmetric under
         # u -> d - u and inv(d - u) = d - inv(u).
-        lower = _batch_inverse(units[: (phi + 1) // 2], d)
+        lower = batch_inverse(units[: (phi + 1) // 2], d)
         inverses = np.concatenate([lower, d - lower[: phi // 2][::-1]])
         twiddle = None
         if d <= TWIDDLE_CAP:

@@ -18,7 +18,10 @@ Averages over a residue set A of reduced residues:
 
     D(X; A, q) = sum |R|,   E(X; A, q) = sum R,
 
-and the exceptional set collects the a in [1, p-1] whose signed R reaches
+take R at the members of A only (error_set): S from the sieve module's set
+route, and M, the same for every reduced residue, from the class gcd = 1 of
+the vector's main term, so a small set builds no length-q array.  The
+exceptional set collects the a in [1, p-1] whose signed R reaches
 X^(1/3 - kappa).  Interval sets mean {B+1, ..., B+A} reduced mod q, with
 the non-reduced members dropped and counted.
 """
@@ -33,8 +36,8 @@ import numpy as np
 
 from .arith import divisors, euler_phi, factorize, is_prime, mobius, ramanujan_sum
 from .bessel import EULER_GAMMA
-from .errors import InvalidRange, NonReducedResidue, NotPrime
-from .tausieve import divisor_sum_progressions, progression_sum_single
+from .errors import InvalidRange, NotPrime
+from .tausieve import divisor_sum_progressions, progression_sum_single, progression_sums_set
 
 
 @dataclass(frozen=True)
@@ -97,16 +100,13 @@ def _divisor_table(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return divs, mu, phi
 
 
-def main_term_vector(X: int, q: int) -> np.ndarray:
-    """M(X; a, q) for all residues a = 0..q-1 at once.
+def _class_main_terms(X: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted divisors g of q and M(X; a, q) for the class gcd(a, q) = g.
 
     r_d(a) depends on a only through g = gcd(a, q), so M is computed once per
     divisor g of q, with r_d(g) = mu(d/h) phi(d) / phi(d/h), h = gcd(g, d).
     The d-sum runs in ascending d, the order the scalar polynomial uses.
-    The classes are written by divisor strides: gcd(a, q) is the largest
-    divisor of q that divides a, so writing the value of each divisor g to
-    every g-th residue, in ascending g, leaves the value of gcd(a, q) at a.
-    That is sigma(q)/q writes per residue, and no gcd is taken.
+    Every reduced residue takes the first value, the class g = 1.
     """
     if X < 1 or q < 2:
         raise InvalidRange(f"need X >= 1 and q >= 2, got {X}, {q}")
@@ -118,7 +118,18 @@ def main_term_vector(X: int, q: int) -> np.ndarray:
     M = np.zeros(len(divs))
     for j, d in enumerate(divs.tolist()):
         M += r[:, j] / d * (T - 2 * math.log(d) + 2 * EULER_GAMMA - 1)
-    V = X / q * M
+    return divs, X / q * M
+
+
+def main_term_vector(X: int, q: int) -> np.ndarray:
+    """M(X; a, q) for all residues a = 0..q-1 at once.
+
+    The classes are written by divisor strides: gcd(a, q) is the largest
+    divisor of q that divides a, so writing the value of each divisor g to
+    every g-th residue, in ascending g, leaves the value of gcd(a, q) at a.
+    That is sigma(q)/q writes per residue, and no gcd is taken.
+    """
+    divs, V = _class_main_terms(X, q)
     out = np.full(q, V[0])
     for g, v in zip(divs[1:].tolist(), V[1:].tolist()):
         out[::g] = v
@@ -178,6 +189,18 @@ def interval_residues(q: int, B: int, A: int) -> tuple[list[int], int]:
     return out, dropped
 
 
+def error_set(X: int, q: int, residues: list[int]) -> np.ndarray:
+    """R(X; a, q) at each reduced residue a in residues, in order, repeats kept.
+
+    S comes from progression_sums_set, which counts pairs for a small set and
+    reads a large one off the whole vector; a non-reduced residue raises
+    NonReducedResidue.  M is main_term_vector's value for the class gcd = 1,
+    so each R is the same float as error_vector(X, q).R[a].
+    """
+    M = _class_main_terms(X, q)[1][0]  # first: it refuses q < 2 cheaply
+    return progression_sums_set(X, q, residues) - M
+
+
 @dataclass(frozen=True)
 class AveragedErrors:
     X: int
@@ -187,24 +210,25 @@ class AveragedErrors:
     cardinality: int
 
 
-def error_sums(R: np.ndarray, residues: list[int]) -> tuple[float, float]:
-    """(D, E) = (sum |R[a]|, sum R[a]) over the residues, each correctly rounded."""
-    vals = R[np.asarray(residues, dtype=np.int64)].tolist()
+def error_sums(R: np.ndarray) -> tuple[float, float]:
+    """(D, E) = (sum |R|, sum R), each correctly rounded."""
+    vals = R.tolist()
     return math.fsum(map(abs, vals)), math.fsum(vals)
 
 
 def averaged_errors(X: int, q: int, residues: Iterable[int]) -> AveragedErrors:
     """D = sum |R| and E = sum R over a set of reduced residues mod q.
 
-    Duplicate residues are collapsed; summation is over sorted residues so
-    the result is deterministic regardless of input order.  R comes from
-    one error_vector; error_term serves a single residue at a large X.
+    Duplicate residues are collapsed, and a non-reduced one raises
+    NonReducedResidue.  R comes from error_set, in O(|A| sqrt(X)) time with
+    no length-q array while |A| is below about sqrt(X) (and below q where
+    the hyperbola route would serve the vector), and from the whole vector
+    above; either way it equals error_vector's R.  D and E are correctly
+    rounded sums, so they do not depend on the input order.  error_term,
+    one residue through the scalar route, is the oracle the tests hold it to.
     """
     aset = sorted({a % q for a in residues})
-    for a in aset:
-        if math.gcd(a, q) != 1:
-            raise NonReducedResidue(f"{a} shares a factor with {q}")
-    D, E = error_sums(error_vector(X, q).R, aset)
+    D, E = error_sums(error_set(X, q, aset))
     return AveragedErrors(X=X, q=q, D=D, E=E, cardinality=len(aset))
 
 

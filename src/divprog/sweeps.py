@@ -38,6 +38,7 @@ import numpy as np
 from .arith import is_prime, reduced_residues
 from .errors import ConfigInvalid
 from .mainterm import (
+    error_set,
     error_sums,
     error_vector,
     exceptional_members,
@@ -257,58 +258,68 @@ def _json_dumps(doc) -> str:
     return json.dumps(_json_normalize(doc), sort_keys=True, indent=1)
 
 
+def _row_sets(cfg: ExperimentConfig, q: int, rng: np.random.Generator) -> list[tuple]:
+    """(B, residues, dropped, descriptor) of every row at modulus q, in row order."""
+    units = reduced_residues(q) if cfg.set_kind == "random" else None
+    sets = []
+    for spec in cfg.lengths:
+        A_req = _resolve_length(spec, q)
+        for B in sorted(cfg.offsets):
+            if cfg.set_kind == "interval":
+                residues, dropped = interval_residues(q, B, A_req)
+                descriptor = f"interval({B},{A_req})"
+            else:
+                size = min(A_req, len(units))
+                residues = sorted(int(a) for a in rng.choice(units, size=size, replace=False))
+                dropped = 0
+                descriptor = f"random({size})"
+            sets.append((B, residues, dropped, descriptor))
+    return sets
+
+
 def _interval_rows(cfg: ExperimentConfig, rng: np.random.Generator) -> list[dict]:
     rows = []
     for X in sorted(cfg.x_grid):
         for q in sorted(cfg.modulus_grid):
-            R = error_vector(X, q).R
-            units = reduced_residues(q) if cfg.set_kind == "random" else None
-            for spec in cfg.lengths:
-                A_req = _resolve_length(spec, q)
-                for B in sorted(cfg.offsets):
-                    if cfg.set_kind == "interval":
-                        residues, dropped = interval_residues(q, B, A_req)
-                        descriptor = f"interval({B},{A_req})"
-                    else:
-                        size = min(A_req, len(units))
-                        residues = sorted(
-                            int(a) for a in rng.choice(units, size=size, replace=False)
-                        )
-                        dropped = 0
-                        descriptor = f"random({size})"
-                    D, E = error_sums(R, residues)
-                    A_eff = len(residues)
-                    prime = is_prime(q)
-                    r11 = interval_abs_error_bound(A_eff, X, q) if A_eff else float("nan")
-                    r12 = interval_signed_error_bound(A_eff, X, q) if A_eff else float("nan")
-                    r13 = set_abs_error_bound(A_eff, X, q) if A_eff else float("nan")
-                    rows.append({
-                        "experiment": cfg.experiment,
-                        "X": X,
-                        "q": q,
-                        "prime": prime,
-                        "set": descriptor,
-                        "B": B,
-                        "A": A_eff,
-                        "dropped": dropped,
-                        "D": D,
-                        "E": E,
-                        "interval_set": cfg.set_kind == "interval",
-                        "rhs_interval_abs": r11,
-                        "ratio_interval_abs": D / r11 if A_eff else float("nan"),
-                        "in_regime_interval_abs": bool(
-                            A_eff and cfg.set_kind == "interval" and interval_abs_regime(A_eff, X, q)
-                        ),
-                        "rhs_interval_signed": r12,
-                        "ratio_interval_signed": abs(E) / r12 if A_eff else float("nan"),
-                        "in_regime_interval_signed": bool(
-                            A_eff and cfg.set_kind == "interval"
-                            and interval_signed_regime(A_eff, X, q)
-                        ),
-                        "rhs_set_abs": r13,
-                        "ratio_set_abs": D / r13 if A_eff else float("nan"),
-                        "in_regime_set_abs": bool(A_eff and set_abs_regime(A_eff, X, q, cfg.eps)),
-                    })
+            sets = _row_sets(cfg, q, rng)
+            # one error_set call on all rows' residues, then each row's slice
+            R = error_set(X, q, [a for _, residues, _, _ in sets for a in residues])
+            prime = is_prime(q)
+            start = 0
+            for B, residues, dropped, descriptor in sets:
+                A_eff = len(residues)
+                D, E = error_sums(R[start : start + A_eff])
+                start += A_eff
+                r11 = interval_abs_error_bound(A_eff, X, q) if A_eff else float("nan")
+                r12 = interval_signed_error_bound(A_eff, X, q) if A_eff else float("nan")
+                r13 = set_abs_error_bound(A_eff, X, q) if A_eff else float("nan")
+                rows.append({
+                    "experiment": cfg.experiment,
+                    "X": X,
+                    "q": q,
+                    "prime": prime,
+                    "set": descriptor,
+                    "B": B,
+                    "A": A_eff,
+                    "dropped": dropped,
+                    "D": D,
+                    "E": E,
+                    "interval_set": cfg.set_kind == "interval",
+                    "rhs_interval_abs": r11,
+                    "ratio_interval_abs": D / r11 if A_eff else float("nan"),
+                    "in_regime_interval_abs": bool(
+                        A_eff and cfg.set_kind == "interval" and interval_abs_regime(A_eff, X, q)
+                    ),
+                    "rhs_interval_signed": r12,
+                    "ratio_interval_signed": abs(E) / r12 if A_eff else float("nan"),
+                    "in_regime_interval_signed": bool(
+                        A_eff and cfg.set_kind == "interval"
+                        and interval_signed_regime(A_eff, X, q)
+                    ),
+                    "rhs_set_abs": r13,
+                    "ratio_set_abs": D / r13 if A_eff else float("nan"),
+                    "in_regime_set_abs": bool(A_eff and set_abs_regime(A_eff, X, q, cfg.eps)),
+                })
     return rows
 
 

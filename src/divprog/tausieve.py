@@ -7,7 +7,7 @@ Everything is exact integer arithmetic.  This divisor walk, sieve_tau,
 gives tau(n) to the Voronoi expansion's dual sum and is the oracle the
 tests fold by n mod q against the naive route below.
 
-S(X; a, q) = sum of tau(n) over n <= X, n = a mod q comes in three exact
+S(X; a, q) = sum of tau(n) over n <= X, n = a mod q comes in four exact
 routes that the tests play against each other:
 
   * naive: tau(2^k m) = (k + 1) tau(m) for odd m, so only odd m <= X are
@@ -19,11 +19,22 @@ routes that the tests play against each other:
   * hyperbola: count lattice points dm <= X with dm = a mod q per residue
     class in O(sqrt(X) * q) without materializing tau, taking the d in
     blocks of about _HYPERBOLA_BLOCK / q with one bincount per block,
-  * single: same counting for one residue only, O(sqrt(X)) modular solves.
+  * set: S at a set of A reduced residues only, in O(A sqrt(X)) time
+    whatever q is, with no length-q array: e = a dbar mod q for each d
+    prime to q, the dbar of all d <= sqrt(X) from one product tree, and
+    (residue, d) pairs taken in blocks of _SET_BLOCK; needs q <= _FOLD_Q_MAX
+    so a dbar stays in int64.  For a set large enough that a whole vector
+    costs less, it reads the set off the vector instead,
+  * single: one residue, any residue, by a Python loop of O(sqrt(X))
+    modular solves; it shares no code with the other routes and stays as
+    their scalar oracle, too slow for more than a few residues at large X.
+
+The naive, hyperbola and set routes need X < 2^40 to stay exact in int64
+and float64; the first two also need memory for q sums.
 
 The identity sum_a S(X; a, q) = sum_{n<=X} tau(n), with the right side
 computed by the classical 2*sum floor(X/d) - floor(sqrt(X))^2 formula, is
-the row-sum check every route must pass.
+the row-sum check every vector route must pass.
 """
 
 from __future__ import annotations
@@ -33,15 +44,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, InvalidRange, WindowTooLarge
+from .arith import batch_inverse
+from .errors import ConfigInvalid, InvalidModulus, InvalidRange, NonReducedResidue, WindowTooLarge
 
 _MEMORY_BUDGET = 2 * 2**30  # bytes a sieve window or a naive-route sum vector may take
 _WINDOW_CAP = 2**40  # windows must sit below this
 _SEGMENT = 1 << 19  # odd entries per naive-route segment (1 MiB of uint16)
 _FOLD_BLOCK = 1 << 14  # residues per naive-route fold step (128 KiB per int64 temporary)
-_FOLD_Q_MAX = math.isqrt(2**63 - 1)  # naive-route fold products stay in int64
+_FOLD_Q_MAX = math.isqrt(2**63 - 1)  # naive-route fold and set-route products stay in int64
 _COLUMN_WIDTH = 1024  # column sums run over rows of about this many entries
 _HYPERBOLA_BLOCK = 1 << 13  # (d, residue) entries per hyperbola step (64 KiB per int64 temporary)
+_SET_BLOCK = 1 << 14  # (residue, d) entries per set-route step (128 KiB per int64 temporary)
 
 
 @dataclass(frozen=True)
@@ -232,14 +245,19 @@ def _hyperbola_max_q(X: int) -> int:
     return X // 14500 + 300
 
 
-def divisor_sum_progressions(X: int, q: int, method: str = "auto") -> ProgressionSumVector:
-    """All S(X; a, q) at once.  method in {auto, naive, hyperbola}."""
+def _check_progression(X: int, q: int) -> None:
+    """The range the int64 routes are exact in: 1 <= q <= X < 2^40."""
     if X < 1:
         raise InvalidRange(f"need X >= 1, got {X}")
     if q < 1 or q > X:
         raise InvalidRange(f"need 1 <= q <= X, got q = {q}, X = {X}")
     if X >= _WINDOW_CAP:
         raise InvalidRange(f"need X < {_WINDOW_CAP}, got {X}")
+
+
+def divisor_sum_progressions(X: int, q: int, method: str = "auto") -> ProgressionSumVector:
+    """All S(X; a, q) at once.  method in {auto, naive, hyperbola}."""
+    _check_progression(X, q)
     if method == "auto":
         method = "hyperbola" if q <= _hyperbola_max_q(X) else "naive"
     if method == "naive":
@@ -249,6 +267,71 @@ def divisor_sum_progressions(X: int, q: int, method: str = "auto") -> Progressio
     else:
         raise ConfigInvalid(f"unknown method {method!r}")
     return ProgressionSumVector(X=X, q=q, sums=sums)
+
+
+def _pairs_max_residues(X: int, q: int) -> int:
+    """Most distinct residues for which progression_sums_set counts pairs."""
+    # Fitted on 2 cores with numpy 2.4: the pairs cost 9-13 ns per
+    # (residue, d) pair, d <= isqrt(X), over a fixed 0.3-1 ms.  A vector
+    # costs 16-19 ns per hyperbola entry (isqrt(X) q of them, more than the
+    # pairs of any A < q) and 4-12 ns per n <= X on the naive route.  With
+    # naive the two took equal time near A = 330 at (1e5, 2153), 560 at
+    # (1e6, 9973) and 2300 at (1e7, 46411), against bounds 221, 700 and 2213.
+    # Only d prime to q make pairs, so for q with small prime factors the
+    # bound is low: at (1e7, 720720) pairs took 30 ms against 110 ms at
+    # A = 4426.
+    if q <= _hyperbola_max_q(X):
+        return q
+    return 7 * X // (10 * math.isqrt(X))
+
+
+def progression_sums_set(X: int, q: int, residues) -> np.ndarray:
+    """S(X; a, q) for each reduced residue a in residues, in O(A sqrt(X)) for A distinct.
+
+    Returns int64 sums in the order of residues, which may repeat.  A unit a
+    is hit only by pairs d e with d prime to q, and then e = a dbar mod q, so
+
+        S = 2 sum_{d <= sqrt(X), (d, q) = 1} #{d <= e <= X/d : e = a dbar}
+            - #{e <= sqrt(X) : e^2 = a}.
+
+    With X/d = Q_h q + r_h and d - 1 = Q_l q + r_l, a class c in [0, q) has
+    Q_h - Q_l - [c > r_h] + [c > r_l] members in [d, X/d]; the Q part does
+    not depend on a, so each (a, d) costs one product mod q and two
+    comparisons.  The dbar come from one product tree, and a dbar < q^2
+    stays in int64 for q <= _FOLD_Q_MAX.  Above _pairs_max_residues(X, q)
+    distinct residues the whole vector costs less, and the sums are read
+    off divisor_sum_progressions instead.
+    """
+    _check_progression(X, q)
+    if q > _FOLD_Q_MAX:
+        raise InvalidModulus(f"need q <= {_FOLD_Q_MAX} for int64 products a dbar, got {q}")
+    a = np.asarray(residues, dtype=np.int64) % q
+    bad = np.gcd(a, q) != 1
+    if bad.any():
+        raise NonReducedResidue(f"{int(a[bad][0])} shares a factor with {q}")
+    a, where = np.unique(a, return_inverse=True)
+    if len(a) > _pairs_max_residues(X, q):
+        return divisor_sum_progressions(X, q).sums[a][where]
+    D = math.isqrt(X)
+    d = np.arange(1, D + 1, dtype=np.int64)
+    d = d[np.gcd(d, q) == 1]
+    dbar = batch_inverse(d % q, q)
+    Qh, rh = np.divmod(X // d, q)
+    Ql, rl = np.divmod(d - 1, q)
+    over = np.zeros(len(a), dtype=np.int64)
+    cols = min(len(d), _SET_BLOCK)
+    rows = max(1, _SET_BLOCK // cols)
+    for i in range(0, len(a), rows):
+        ai = a[i : i + rows, None]
+        for j in range(0, len(d), cols):
+            c = ai * dbar[j : j + cols] % q
+            over[i : i + rows] += (c > rl[j : j + cols]).sum(axis=1)
+            over[i : i + rows] -= (c > rh[j : j + cols]).sum(axis=1)
+    e = np.arange(1, D + 1, dtype=np.int64)
+    squares = np.sort(e * e % q)
+    lo, hi = np.searchsorted(squares, np.stack([a, a + 1]))  # the run of squares equal to a
+    S = 2 * (int(np.sum(Qh - Ql)) + over) - (hi - lo)
+    return S[where]
 
 
 def progression_sum_single(X: int, q: int, a: int) -> int:

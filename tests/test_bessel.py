@@ -7,7 +7,11 @@ import scipy.special as sp
 
 from divprog.bessel import bessel_k0, bessel_k1, bessel_y0, bessel_y1, y0_envelope
 
-mpmath.mp.dps = 30
+
+def _mp_bessel(fn, order: int, x: float) -> float:
+    """fn(order, x) from mpmath at 30 digits, rounded to a float."""
+    with mpmath.workdps(30):
+        return float(fn(order, mpmath.mpf(x)))
 
 # K0, K1: Chebyshev (2, 5] -> (5, 17], then the asymptotic bands
 K_SWITCHOVERS = (5.0, 17.0, 25.0, 50.0, 100.0, 200.0)
@@ -26,7 +30,7 @@ def test_k0_against_mpmath_sweep():
         np.linspace(120.0, 699.0, 30),
     ])
     for x in xs:
-        want = float(mpmath.besselk(0, mpmath.mpf(float(x))))
+        want = _mp_bessel(mpmath.besselk, 0, float(x))
         got = bessel_k0(float(x))
         assert abs(got - want) <= 5e-13 * abs(want), x
 
@@ -54,7 +58,7 @@ def test_y0_against_mpmath_envelope_relative():
         np.linspace(400.0, 5000.0, 40),
     ])
     for x in xs:
-        want = float(mpmath.bessely(0, mpmath.mpf(float(x))))
+        want = _mp_bessel(mpmath.bessely, 0, float(x))
         got = bessel_y0(float(x))
         env = max(float(y0_envelope(max(x, 1e-3))), abs(want))
         assert abs(got - want) <= 5e-13 * env, x
@@ -118,7 +122,7 @@ def test_k1_against_mpmath_sweep():
         np.linspace(120.0, 699.0, 30),
     ])
     for x in xs:
-        want = float(mpmath.besselk(1, mpmath.mpf(float(x))))
+        want = _mp_bessel(mpmath.besselk, 1, float(x))
         got = bessel_k1(float(x))
         assert abs(got - want) <= 5e-13 * abs(want), x
     assert bessel_k1(701.0) == 0.0
@@ -132,7 +136,7 @@ def test_y1_against_mpmath_envelope_relative():
         np.linspace(400.0, 5000.0, 40),
     ])
     for x in xs:
-        want = float(mpmath.bessely(1, mpmath.mpf(float(x))))
+        want = _mp_bessel(mpmath.bessely, 1, float(x))
         got = bessel_y1(float(x))
         env = max(float(y0_envelope(max(x, 1e-3))), abs(want))
         assert abs(got - want) <= 5e-13 * env, x

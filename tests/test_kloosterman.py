@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from divprog.arith import euler_phi, is_prime, mod_inverse, ramanujan_sum
+from divprog.arith import batch_inverse, euler_phi, is_prime, mod_inverse, ramanujan_sum
 from divprog import kloosterman as kloosterman_module
 from divprog.errors import WindowTooLarge
 from divprog.kloosterman import (
     KloostermanEvaluator,
-    _batch_inverse,
     check_weil,
     kloosterman,
     kloosterman_batch_over_a,
@@ -247,14 +246,14 @@ def test_batch_inverse_against_pow():
     # every prefix length up to 40 straight through the tree
     units = KloostermanEvaluator.build(3001).units
     for n in range(1, 41):
-        got = _batch_inverse(units[:n], 3001)
+        got = batch_inverse(units[:n], 3001)
         assert got.tolist() == [pow(int(u), -1, 3001) for u in units[:n]], n
     # moduli near 1e6 as the bench draws them (primes and twice a prime) and
     # its batch modulus: u * inv = 1 mod d with inv in [0, d) is the same as
     # inv = pow(u, -1, d), checked for every unit in int64
     for d in (997319, 998287, 998918, 999422, 100003):
         ev = KloostermanEvaluator.build(d)
-        inv = _batch_inverse(ev.units, d)
+        inv = batch_inverse(ev.units, d)
         assert np.array_equal(inv, ev.inverses), d
         assert np.all((inv >= 0) & (inv < d)) and np.all(ev.units * inv % d == 1), d
 

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from divprog import mainterm
-from divprog.arith import divisors, euler_phi, ramanujan_sum
+from divprog import mainterm, tausieve
+from divprog.arith import divisors, euler_phi, ramanujan_sum, reduced_residues
 from divprog.errors import InvalidRange, NonReducedResidue, NotPrime
 from divprog.mainterm import (
     EULER_GAMMA,
     MainTermPolynomial,
     averaged_errors,
+    error_set,
+    error_sums,
     error_term,
     error_vector,
     exceptional_set,
@@ -183,6 +185,42 @@ def test_averaged_errors_small_and_large_paths_agree():
         assert avg.cardinality == A
         assert abs(avg.D - math.fsum(abs(r) for r in rs)) < 1e-8
         assert abs(avg.E - math.fsum(rs)) < 1e-8
+
+
+def test_error_set_is_error_vector_at_the_set():
+    # bit for bit: the exact S, and M from the class gcd = 1 of the same sum;
+    # residues in input order with repeats, a small set by pairs and the
+    # full unit set (more than _pairs_max_residues) off the whole vector
+    for X, q in ((10**5, 2153), (10**5, 1260), (10**6, 9973), (10**6, 720720), (5000, 2)):
+        ev = error_vector(X, q)
+        units = reduced_residues(q)
+        residues = units[::-7][:50].tolist() + units[:3].tolist() * 2
+        assert error_set(X, q, residues).tobytes() == ev.R[residues].tobytes(), (X, q)
+        if len(units) > tausieve._pairs_max_residues(X, q):
+            assert error_set(X, q, units).tobytes() == ev.R[units].tobytes(), (X, q)
+    assert error_set(10**5, 101, []).tolist() == []
+
+
+def test_error_sums_are_correctly_rounded():
+    R = np.array([1e16, 1.0, -1e16, -3.5])
+    assert error_sums(R) == (math.fsum([1e16, 1.0, 1e16, 3.5]), -2.5)
+    assert error_sums(R[:0]) == (0.0, 0.0)
+
+
+def test_averaged_errors_against_the_scalar_oracle():
+    # error_term is the oracle: its S is the same integer, so D and E are
+    # exactly the correctly rounded sums of S - M with main_term_vector's M;
+    # its own M (the scalar polynomial) rounds differently, a few ulps away
+    for X, q in ((30000, 257), (10**5, 1260), (10**5, 4200)):
+        res, _ = interval_residues(q, 100, 60)
+        avg = averaged_errors(X, q, res)
+        M = main_term_vector(X, q)
+        recs = [error_term(X, q, a) for a in res]
+        exact = [rec.S - M[rec.a] for rec in recs]
+        assert avg.D == math.fsum(abs(r) for r in exact), (X, q)
+        assert avg.E == math.fsum(exact), (X, q)
+        assert avg.D == pytest.approx(math.fsum(abs(rec.R) for rec in recs), rel=1e-12, abs=1e-9)
+        assert avg.E == pytest.approx(math.fsum(rec.R for rec in recs), rel=1e-12, abs=1e-9)
 
 
 def test_exceptional_set_matches_direct_scan():

@@ -222,10 +222,9 @@ def test_sweep_interval_e_matches_error_vector(tmp_path):
     res = run_theorem_sweep(cfg, tmp_path)
     row = res.rows[0]
     R = error_vector(2500, 101).R
-    expect_E = math.fsum(float(R[a]) for a in range(2, 10))  # interval {2..9}
-    assert abs(row["E"] - expect_E) < 1e-9
-    expect_D = math.fsum(abs(float(R[a])) for a in range(2, 10))
-    assert abs(row["D"] - expect_D) < 1e-9
+    # error_set's R is error_vector's R bit for bit, so the sums are equal
+    assert row["E"] == math.fsum(float(R[a]) for a in range(2, 10))  # interval {2..9}
+    assert row["D"] == math.fsum(abs(float(R[a])) for a in range(2, 10))
 
 
 def test_sweep_exceptional_counts(tmp_path):
@@ -394,6 +393,21 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert main(["kloosterman", "--d", "5", "--m", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_refuses_flag_prefixes(tmp_path, monkeypatch, capsys):
+    # the removed --out must not be read as a prefix of --out-dir, on either
+    # side of the subcommand name; parse errors exit 2 before anything runs
+    monkeypatch.chdir(tmp_path)
+    for argv in (["tau", "--x", "100", "--q", "7", "--out", "r.csv"],
+                 ["--out", "r.csv", "tau", "--x", "100", "--q", "7"],
+                 ["tau", "--x", "100", "--q", "7", "--out-d", "r.csv"],
+                 ["kloosterman", "--d", "13", "--m", "2", "--batch", "1,3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "divprog: error:" in capsys.readouterr().err, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_kloosterman_imaginary_check_exits_4(capsys, monkeypatch):

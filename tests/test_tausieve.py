@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divprog.arith import tau_of
+from divprog.arith import reduced_residues, tau_of
 from divprog import tausieve
-from divprog.errors import InvalidRange, WindowTooLarge
+from divprog.errors import InvalidModulus, InvalidRange, NonReducedResidue, WindowTooLarge
 from divprog.tausieve import (
     divisor_sum_progressions,
     progression_sum_single,
+    progression_sums_set,
     sieve_tau,
     total_divisor_sum,
 )
@@ -258,3 +259,96 @@ def test_sieve_odd_matches_divisor_walk():
         tau = tausieve._sieve_odd(buf, lo, lo + n)
         ref = sieve_tau(2 * lo + 1, 2 * n - 1).values[::2]
         assert np.array_equal(tau, ref), lo
+
+
+def test_set_route_against_both_vector_routes_across_auto_boundary(monkeypatch):
+    # every reduced residue on the rungs either side of auto's switch, all
+    # counted as pairs
+    monkeypatch.setattr(tausieve, "_pairs_max_residues", lambda X, q: q)
+    for X in (10**5 + 3, 10**6):
+        q_switch = tausieve._hyperbola_max_q(X)
+        for q in (q_switch - 1, q_switch, q_switch + 1):
+            naive = divisor_sum_progressions(X, q, method="naive").sums
+            hyper = divisor_sum_progressions(X, q, method="hyperbola").sums
+            units = reduced_residues(q)
+            got = progression_sums_set(X, q, units)
+            assert got.dtype == np.int64 and got.shape == units.shape, (X, q)
+            assert np.array_equal(got, naive[units]), (X, q)
+            assert np.array_equal(got, hyper[units]), (X, q)
+
+
+def test_set_route_composite_and_even_moduli():
+    # q > sqrt(X) and q < sqrt(X), so some d wrap mod q; the units nearest
+    # 0 and q, and units from the middle
+    for X, q in ((10**5, 1260), (10**5, 4200), (10**7, 720720), (10**6, 12), (10**5, 2**11)):
+        units = reduced_residues(q)
+        residues = np.concatenate([units[:40], units[len(units) // 2 :][:40], units[-40:]])
+        S = divisor_sum_progressions(X, q).sums
+        got = progression_sums_set(X, q, residues)
+        assert np.array_equal(got, S[residues]), (X, q)
+
+
+def test_set_route_blocks_of_residues_and_d(monkeypatch):
+    # blocks smaller than the 316 d <= sqrt(X) split the d; larger ones take
+    # several residues per block, the last block short
+    X, q = 10**5, 2153
+    residues = np.arange(1, 101)
+    want = divisor_sum_progressions(X, q).sums[residues]
+    for block in (1, 7, 64, 316, 1000, 10**5):
+        monkeypatch.setattr(tausieve, "_SET_BLOCK", block)
+        assert np.array_equal(progression_sums_set(X, q, residues), want), block
+
+
+def test_set_route_single_residues_and_repeats():
+    X, q = 30000, 257
+    S = divisor_sum_progressions(X, q).sums
+    for a in (1, 2, 128, 256):
+        assert progression_sums_set(X, q, [a]).tolist() == [progression_sum_single(X, q, a)]
+    # repeats, any order, and residues outside [0, q) are answered per entry
+    residues = [5, 3, 5, 260, -1, 3]
+    assert progression_sums_set(X, q, residues).tolist() == [int(S[a % q]) for a in residues]
+    assert progression_sums_set(X, q, []).tolist() == []
+    # q = 1: the one residue 0 is a unit, and S is the whole divisor sum
+    assert progression_sums_set(12345, 1, [0]).tolist() == [total_divisor_sum(12345)]
+
+
+def test_set_route_reads_large_sets_off_the_vector(monkeypatch):
+    # either side of _pairs_max_residues, at naive rungs (bound 0.7 X /
+    # isqrt(X)) and a hyperbola rung (bound q, so always pairs); repeats do
+    # not count toward the bound
+    vector = tausieve.divisor_sum_progressions
+    calls = []
+    monkeypatch.setattr(tausieve, "divisor_sum_progressions",
+                        lambda X, q: calls.append((X, q)) or vector(X, q))
+    for X, q in ((10**6, 9973), (10**5, 1260), (10**5, 101)):
+        units = reduced_residues(q)
+        bound = tausieve._pairs_max_residues(X, q)
+        S = vector(X, q).sums
+        for A in (1, bound, bound + 1):
+            residues = np.concatenate([units[:A], units[:A][::-1]])
+            calls.clear()
+            assert np.array_equal(progression_sums_set(X, q, residues), S[residues]), (X, q, A)
+            assert calls == ([(X, q)] if len(units[:A]) > bound else []), (X, q, A)
+    assert tausieve._pairs_max_residues(10**5, 101) == 101
+
+
+def test_set_route_rejects_non_reduced_residues():
+    with pytest.raises(NonReducedResidue, match="^6 "):
+        progression_sums_set(10**4, 1260, [1, 6, 11])
+    with pytest.raises(NonReducedResidue):
+        progression_sums_set(10**4, 101, [0])
+
+
+def test_set_route_limits_raise_before_any_array(monkeypatch):
+    # with numpy gone from the module, only checks made before the first
+    # array can raise the package's own errors
+    monkeypatch.setattr(tausieve, "np", None)
+    cap = 2**40
+    with pytest.raises(InvalidRange):
+        progression_sums_set(cap, 7, [1])
+    with pytest.raises(InvalidModulus):
+        progression_sums_set(cap - 1, tausieve._FOLD_Q_MAX + 2, [1])
+    with pytest.raises(InvalidRange):
+        progression_sums_set(10, 11, [1])
+    with pytest.raises(InvalidRange):
+        progression_sums_set(0, 1, [0])
