@@ -46,7 +46,7 @@ for q in (5, 7, 11):
     print(f"  plain, q = {q:>2}: worst residual over residues {worst:.2e}")
 for q in (5, 7):
     table = character_table(q)
-    worst = max(poisson_tau_twisted(g, q, j, table).residual for j in range(1, q - 1))
+    worst = max(poisson_tau_twisted(g, q, j).residual for j in range(1, q - 1))
     taus = [abs(gauss_sum(table, j)) for j in range(1, q - 1)]
     print(f"  twisted, q = {q}: worst residual {worst:.2e}, "
           f"|Gauss sums| all sqrt({q}): {np.allclose(taus, math.sqrt(q))}")

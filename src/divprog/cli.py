@@ -2,10 +2,20 @@
 
 Subcommands map one-to-one onto library operations; table-like results
 go to report files under --out-dir, named <stem>.csv or <stem>.json
-after --format, and single-object results go to stdout as JSON.  Exit
-codes: 0 success, 2 for configuration or usage problems (the package's
-own error types, see errors.py), 3 when a sweep's configured envelope
-threshold is breached (CI gating), 4 for an internal failure: a
+after --format, and single-object results go to stdout as JSON.
+
+The residue-level commands compute only the residues they print: tau --a
+takes the single route (progression_sum_single), and errors and
+voronoi-check the set route (progression_sums_set, error_set), which
+reads a large set off the whole vector by its own choice.  errors drops
+the non-reduced members of an interval 'B,A' and refuses a non-reduced
+residue listed in a --set file (NonReducedResidue, exit 2).  tau
+without --a and exceptional read every residue, so they build the
+whole vector.
+
+Exit codes: 0 success, 2 for configuration or usage problems (the
+package's own error types, see errors.py), 3 when a sweep's configured
+envelope threshold is breached (CI gating), 4 for an internal failure: a
 numerical self-check (an arithmetic or runtime error, such as a
 Kloosterman sum whose imaginary part is not rounding noise) or any other
 ValueError, numpy's included; exits 2 and 4 print one line on stderr.
@@ -33,9 +43,14 @@ from .arith import reduced_residues
 from .characters import congruence_bound_report, fourth_moment, multiplicative_congruence_count
 from .errors import ConfigInvalid, DivprogError
 from .kloosterman import check_weil, kloosterman_batch_over_a
-from .mainterm import error_vector, exceptional_set, interval_residues
+from .mainterm import error_set, exceptional_set, interval_residues, reduced_main_term
 from .poisson import BumpFunction, ProductTestFunction, poisson_tau, poisson_tau_twisted
-from .tausieve import divisor_sum_progressions, total_divisor_sum
+from .tausieve import (
+    divisor_sum_progressions,
+    progression_sum_single,
+    progression_sums_set,
+    total_divisor_sum,
+)
 from .voronoi import voronoi_error_terms
 
 _DEFAULT_BUMPS = ((2.5, 1.6), (3.0, 2.2))  # the documented Poisson test function
@@ -70,7 +85,11 @@ def _parse_float_pair(text: str, flag: str) -> tuple[float, float]:
 
 
 def _residue_set(text: str, q: int) -> list[int]:
-    """Either 'B,A' (interval, lenient reduction) or a file of residues."""
+    """Either 'B,A' (interval, non-reduced members dropped) or a file of residues.
+
+    A file's residues are taken as listed; the set route refuses a
+    non-reduced one.
+    """
     path = Path(text)
     if path.is_file():
         residues = _parse_ints(path.read_text(), f"--set {path}", sep=None)
@@ -94,10 +113,11 @@ def _write_rows(args, rows: list[dict], stem: str) -> int:
 
 
 def _cmd_tau(args) -> int:
-    vec = divisor_sum_progressions(args.x, args.q)
     if args.a is not None:
-        _json_out({"X": args.x, "q": args.q, "a": args.a % args.q, "S": vec[args.a]})
+        S = progression_sum_single(args.x, args.q, args.a)
+        _json_out({"X": args.x, "q": args.q, "a": args.a % args.q, "S": S})
         return 0
+    vec = divisor_sum_progressions(args.x, args.q)
     rows = [{"a": a, "S": int(vec.sums[a])} for a in range(args.q)]
     if vec.total() != total_divisor_sum(args.x):
         raise RuntimeError(
@@ -109,11 +129,9 @@ def _cmd_tau(args) -> int:
 
 def _cmd_errors(args) -> int:
     residues = _residue_set(args.set, args.q)
-    vec = error_vector(args.x, args.q)
-    rows = [
-        {"a": a, "S": int(vec.S[a]), "M": float(vec.M[a]), "R": float(vec.R[a])}
-        for a in residues
-    ]
+    M = reduced_main_term(args.x, args.q)
+    S = progression_sums_set(args.x, args.q, residues).tolist()
+    rows = [{"a": a, "S": s, "M": M, "R": s - M} for a, s in zip(residues, S)]
     return _write_rows(args, rows, f"errors_x{args.x}_q{args.q}")
 
 
@@ -178,22 +196,17 @@ def _cmd_voronoi_check(args) -> int:
         residues = reduced_residues(q).tolist()
     else:
         residues = sorted({a % q for a in _parse_ints(args.a, "--a")})
-    vec = error_vector(args.x, q)
+    exact = error_set(args.x, q, residues).tolist()
     results = voronoi_error_terms(args.x, q, residues, args.y, eps=args.eps)
     for entry in results[0].truncation_report if results else ():
         if entry.n_flagged:
             print(f"divprog: voronoi-check: d={entry.d}: {entry.n_flagged} of "
                   f"{2 * entry.n_terms} weights did not converge", file=sys.stderr)
-    rows = []
-    for r in results:
-        exact = float(vec.R[r.a])
-        rows.append({
-            "a": r.a,
-            "R_exact": exact,
-            "R_voronoi": r.approx_R,
-            "residual": exact - r.approx_R,
-            "budget": r.budget,
-        })
+    rows = [
+        {"a": r.a, "R_exact": R, "R_voronoi": r.approx_R, "residual": R - r.approx_R,
+         "budget": r.budget}
+        for r, R in zip(results, exact)
+    ]
     return _write_rows(args, rows, f"voronoi_x{args.x}_q{q}")
 
 

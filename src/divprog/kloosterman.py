@@ -56,7 +56,7 @@ _TABLE_BLOCK = 1 << 20  # table entries gathered per step (8 MiB of int64 indice
 _PHASE_BLOCK = 1 << 16  # split-phase entries per block of frequencies (1 MiB of complex128)
 
 _FFT_OVER_DIRECT = 3.0  # auto: fft when len(a) s^2 > this * d log2 d (fit in batch_over_a)
-_IMAG_SLACK = 1e-9  # per-unit allowance on the accumulated imaginary part
+_IMAG_SLACK = 1e-9  # allowance on an accumulated imaginary part, per unit of sum |term|
 
 
 def _side(d: int) -> int:
@@ -118,12 +118,16 @@ class KloostermanEvaluator:
 
     def value(self, m: int, n: int) -> float:
         idx = (m % self.d * self.units + n % self.d * self.inverses) % self.d
-        return float(self._real_part(self._phases(idx).sum(), f"{m},{n}"))
+        return float(self._real_part(self._phases(idx).sum(), f"{m},{n}", self.phi))
 
-    def _real_part(self, z: np.ndarray, label: str) -> np.ndarray:
-        """z.real, after checking every |Im z| against the per-unit slack."""
+    def _real_part(self, z: np.ndarray, label: str, scale: float) -> np.ndarray:
+        """z.real, after checking every |Im z| against the slack per unit of scale.
+
+        scale is sum |t| over the terms t summed into each z, which bounds
+        |z|; for unit phases, as in every Kloosterman sum, it is phi(d).
+        """
         worst = np.abs(z.imag).max(initial=0.0)
-        if worst > _IMAG_SLACK * self.phi:
+        if worst > _IMAG_SLACK * scale:
             raise FloatingPointError(
                 f"K_{self.d}({label}) imaginary part {worst:.3e} exceeds tolerance"
             )
@@ -152,7 +156,7 @@ class KloostermanEvaluator:
             g = np.zeros(self.side**2, dtype=np.complex128)
             g[self.inverses] = t
             z = self.phase_sums(g, a_arr)
-        return self._real_part(z, f"{m}, a")
+        return self._real_part(z, f"{m}, a", self.phi)
 
     def _split_phases(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """e_d(k s i) and e_d(k j) for 0 <= i, j < s: two (len(k), s) tables."""
@@ -227,7 +231,7 @@ def kloosterman_table(d: int) -> np.ndarray:
     block = max(1, _TABLE_BLOCK // d)
     for g in divisors(d):
         gu = g * ev.units % d
-        row = ev._real_part(ev.over_inverses(ev._phases(gu)), f"{g}, .")  # K_d(g, .)
+        row = ev._real_part(ev.over_inverses(ev._phases(gu)), f"{g}, .", ev.phi)  # K_d(g, .)
         # the rows m = g u mod d over the units u, each with one such u;
         # for g = d that is m = 0 alone
         rows, first = np.unique(gu, return_index=True)

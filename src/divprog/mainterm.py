@@ -189,15 +189,26 @@ def interval_residues(q: int, B: int, A: int) -> tuple[list[int], int]:
     return out, dropped
 
 
+def reduced_main_term(X: int, q: int) -> float:
+    """M(X; a, q) at every reduced residue a: main_term_vector's class gcd = 1.
+
+    The same float as main_term_vector(X, q)[a] for gcd(a, q) = 1, with no
+    length-q array (main_term_coprime is the closed form, a separate route).
+    """
+    return float(_class_main_terms(X, q)[1][0])
+
+
 def error_set(X: int, q: int, residues: list[int]) -> np.ndarray:
     """R(X; a, q) at each reduced residue a in residues, in order, repeats kept.
 
     S comes from progression_sums_set, which counts pairs for a small set and
     reads a large one off the whole vector; a non-reduced residue raises
-    NonReducedResidue.  M is main_term_vector's value for the class gcd = 1,
-    so each R is the same float as error_vector(X, q).R[a].
+    NonReducedResidue.  M is reduced_main_term, so each R is the same float
+    as error_vector(X, q).R[a].  averaged_errors, the interval and set
+    sweeps and the CLI's voronoi-check read R here; the CLI's errors takes
+    S and M from the same two functions, to print both.
     """
-    M = _class_main_terms(X, q)[1][0]  # first: it refuses q < 2 cheaply
+    M = reduced_main_term(X, q)  # first: it refuses q < 2 cheaply
     return progression_sums_set(X, q, residues) - M
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import mod_inverse
-from .characters import CharacterTable, character_table, eta_factor
+from .characters import character_table, eta_factor
 from .errors import InvalidRange, SupportTooLarge
 from .quadrature import gauss_legendre
 
@@ -272,12 +272,9 @@ class TwistedPoissonCheck:
         return abs(self.lhs - self.rhs)
 
 
-def poisson_tau_twisted(
-    g: ProductTestFunction, p: int, j: int, table: CharacterTable | None = None
-) -> TwistedPoissonCheck:
+def poisson_tau_twisted(g: ProductTestFunction, p: int, j: int) -> TwistedPoissonCheck:
     """Both sides of the character-twisted formula for chi_j mod p."""
-    if table is None:
-        table = character_table(p)
+    table = character_table(p)
     eta = eta_factor(table, j)  # NotPrimitive for the principal index
     chi = table.chi_row(j)
     lhs = _lhs_lattice(g, lambda prods: chi[prods % p])

@@ -28,9 +28,11 @@ routes that the tests play against each other:
   * single: one residue, any residue, by a Python loop of O(sqrt(X))
     modular solves; it shares no code with the other routes and stays as
     their scalar oracle, too slow for more than a few residues at large X.
+    It is also the route for one residue on its own (the CLI's tau --a).
 
-The naive, hyperbola and set routes need X < 2^40 to stay exact in int64
-and float64; the first two also need memory for q sums.
+Every route takes 1 <= q <= X < 2^40, the range the naive, hyperbola and
+set routes stay exact in with int64 and float64; the first two also need
+memory for q sums.
 
 The identity sum_a S(X; a, q) = sum_{n<=X} tau(n), with the right side
 computed by the classical 2*sum floor(X/d) - floor(sqrt(X))^2 formula, is
@@ -336,10 +338,7 @@ def progression_sums_set(X: int, q: int, residues) -> np.ndarray:
 
 def progression_sum_single(X: int, q: int, a: int) -> int:
     """S(X; a, q) for one residue in O(sqrt(X)) time, O(1) space."""
-    if X < 1:
-        raise InvalidRange(f"need X >= 1, got {X}")
-    if q < 1 or q > X:
-        raise InvalidRange(f"need 1 <= q <= X, got q = {q}, X = {X}")
+    _check_progression(X, q)
     a %= q
     total = 0
     D = math.isqrt(X)

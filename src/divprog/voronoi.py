@@ -275,10 +275,14 @@ def error_budget(q: int, Y: float) -> float:
 
 
 def _fold(d: int, W_plus: np.ndarray, W_minus: np.ndarray, a_arr: np.ndarray) -> np.ndarray:
-    """sum_r W^+[r] K_d(-r, a) + W^-[r] K_d(r, a) for each a, by three DFTs."""
+    """sum_r W^+[r] K_d(-r, a) + W^-[r] K_d(r, a) for each a, by three DFTs.
+
+    The sum is real (T(-x) is the conjugate of T(x)); its imaginary part is
+    checked against sum |T(x)| over the units, which bounds every value.
+    """
     ev = _evaluator(d)
-    T = np.fft.fft(W_plus) + d * np.fft.ifft(W_minus)
-    return ev.over_inverses(T[ev.units]).real[a_arr]
+    T = (np.fft.fft(W_plus) + d * np.fft.ifft(W_minus))[ev.units]
+    return ev._real_part(ev.over_inverses(T)[a_arr], "W, a", float(np.abs(T).sum()))
 
 
 def voronoi_error_terms(

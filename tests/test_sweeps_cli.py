@@ -1,19 +1,21 @@
 import csv
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from divprog import cli, voronoi
+from divprog import cli, mainterm, sweeps, tausieve, voronoi
 from divprog import kloosterman as kloosterman_module
 from divprog.characters import fourth_moment
 from divprog.cli import main
 from divprog.errors import ConfigInvalid
 from divprog.kloosterman import kloosterman
-from divprog.mainterm import error_vector
+from divprog.mainterm import error_vector, interval_residues
 from divprog.sweeps import (
     ExperimentConfig,
     emit_report,
@@ -313,6 +315,78 @@ def test_cli_errors_set_file(tmp_path, capsys):
         assert abs(float(r["S"]) - float(r["M"]) - float(r["R"])) < 1e-6
 
 
+def _refuse_vectors(monkeypatch):
+    """Make every length-q vector route raise, in each module that imports one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a length-q vector was built")
+
+    for module in (tausieve, mainterm, sweeps, cli):
+        for name in ("divisor_sum_progressions", "main_term_vector", "error_vector"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def test_cli_residue_commands_build_no_vector(tmp_path, monkeypatch, capsys):
+    X, q = 10**5, 2310
+    vec = divisor_sum_progressions(X, q)
+    _refuse_vectors(monkeypatch)
+    for a in (13, 30, q + 13, -7):  # a unit, a non-unit, a >= q, a < 0
+        assert main(["tau", "--x", str(X), "--q", str(q), "--a", str(a)]) == 0, a
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["a"], doc["S"]) == (a % q, vec[a]), a
+    assert main(["--out-dir", str(tmp_path), "errors", "--x", "1000000", "--q", "9973",
+                 "--set", "0,40"]) == 0
+    assert main(["--out-dir", str(tmp_path), "voronoi-check", "--x", "2000", "--q", "12",
+                 "--y", "320", "--a", "1,5"]) == 0
+
+
+def _expected_errors_report(path, X, q, residues, fmt):
+    vec = error_vector(X, q)
+    rows = [{"a": a, "S": int(vec.S[a]), "M": float(vec.M[a]), "R": float(vec.R[a])}
+            for a in residues]
+    emit_report(rows, fmt, path, seed=0)
+    return path.read_bytes()
+
+
+def test_cli_errors_rows_are_error_vector_rows(tmp_path, capsys):
+    listing = tmp_path / "set.txt"
+    listing.write_text("40\n9972\n10000\n-3\n1\n40\n")
+    X, q = 10**6, 9973
+    cases = [  # (X, q, --set, residues): pairs side, vector side, a file
+        (X, q, "0,40", sorted(set(interval_residues(q, 0, 40)[0]))),
+        (10**5, 2153, "100,500", sorted(set(interval_residues(2153, 100, 500)[0]))),
+        (X, q, str(listing), [1, 27, 40, 9970, 9972]),
+    ]
+    assert len(cases[0][3]) <= tausieve._pairs_max_residues(X, q)
+    assert len(cases[1][3]) > tausieve._pairs_max_residues(10**5, 2153)
+    for X, q, text, residues in cases:
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"{fmt}_{q}_{len(residues)}"
+            argv = ["--out-dir", str(out), "--format", fmt, "errors", "--x", str(X),
+                    "--q", str(q), "--set", text]
+            assert main(argv) == 0, argv
+            path = Path(capsys.readouterr().out.strip())
+            want = _expected_errors_report(tmp_path / f"want.{fmt}", X, q, residues, fmt)
+            assert path.read_bytes() == want, argv
+
+
+def test_cli_errors_refuses_a_listed_non_reduced_residue(tmp_path, capsys):
+    listing = tmp_path / "set.txt"
+    listing.write_text("1\n5\n6\n8\n")
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "errors", "--x", "2000", "--q", "9",
+                 "--set", str(listing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == "divprog: 6 shares a factor with 9\n"
+    # an interval drops its non-reduced members instead
+    assert main(["--out-dir", str(out), "errors", "--x", "2000", "--q", "9",
+                 "--set", "0,8"]) == 0
+    with open(capsys.readouterr().out.strip()) as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert [int(r["a"]) for r in rows] == [1, 2, 4, 5, 7, 8]
+
+
 def test_cli_kloosterman_scalar_and_batch(tmp_path, capsys):
     rc = main(["kloosterman", "--d", "13", "--m", "2", "--n", "5"])
     assert rc == 0
@@ -393,6 +467,9 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert main(["kloosterman", "--d", "5", "--m", "1"]) == 2
     capsys.readouterr()
+
+    assert main(["tau", "--x", str(2**40), "--q", "7", "--a", "1"]) == 2
+    assert "need X <" in capsys.readouterr().err
 
 
 def test_cli_refuses_flag_prefixes(tmp_path, monkeypatch, capsys):
@@ -495,6 +572,23 @@ def test_cli_voronoi_check_warns_on_unconverged_weights(tmp_path, capsys, monkey
     assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "flagged" / name).read_bytes()
 
 
+def test_cli_voronoi_check_imaginary_fold_exits_4(tmp_path, capsys, monkeypatch):
+    real = kloosterman_module.KloostermanEvaluator.over_inverses
+
+    def corrupted(self, t):
+        return real(self, t) + 1e-6j * np.abs(t).sum()
+
+    monkeypatch.setattr(kloosterman_module.KloostermanEvaluator, "over_inverses", corrupted)
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "voronoi-check", "--x", "2000", "--q", "12",
+                 "--y", "320", "--a", "1,5"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("divprog: internal error: FloatingPointError: K_")
+    assert "(W, a) imaginary part" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_voronoi_check_panel_cap_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(voronoi, "_MAX_PANELS", 3)
     rc = main(["--out-dir", str(tmp_path), "voronoi-check", "--x", "2000", "--q", "12",
@@ -524,3 +618,25 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["q"] == 4
+
+
+def _readme_examples() -> list[list[str]]:
+    """The divprog lines of the Examples block under README's "## Command line"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("Examples:", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("divprog ")]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    root = Path(__file__).resolve().parents[1]
+    examples = _readme_examples()
+    assert len(examples) >= 5
+    for argv in examples:
+        argv = [str(root / a) if a.startswith("configs/") else a for a in argv]
+        if "--out-dir" in argv:
+            argv[argv.index("--out-dir") + 1] = str(tmp_path)
+        else:
+            argv = ["--out-dir", str(tmp_path)] + argv
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -144,6 +144,8 @@ def test_naive_segment_edges(monkeypatch):
 
 def test_progressions_reject_x_at_window_cap():
     cap = 2**40
+    with pytest.raises(InvalidRange, match="need X <"):
+        progression_sum_single(cap, 7, 1)
     for method in ("auto", "naive", "hyperbola"):
         with pytest.raises(InvalidRange):
             divisor_sum_progressions(cap, 7, method=method)
