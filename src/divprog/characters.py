@@ -60,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime, primitive_root
+from .cache import ByteLRU
 from .errors import InvalidRange, NotPrime, NotPrimitive
 
 _BRUTE_CAP = 4 * 10**6  # pair-enumeration ceiling for the histogram route
@@ -124,7 +125,7 @@ class CharacterTable:
         return j % (self.p - 1) != 0
 
 
-@functools.lru_cache(maxsize=64)
+@ByteLRU
 def character_table(p: int) -> CharacterTable:
     return CharacterTable.build(p)
 

@@ -9,6 +9,9 @@ term of the divisor-sum decomposition needs, with no special case.
 Three routes, used against each other in the tests:
 
   * scalar evaluation over the unit group with a shared twiddle table,
+    summed in blocks of _VALUE_BLOCK units, so its scratch stays at a
+    few MiB at any d; the imaginary part of the total is checked once,
+    against phi(d),
   * batch over a: K_d(m, a) for many a, either through one length-d
     inverse DFT of the unit-indexed phase vector (K_d(m, .) is the
     Fourier transform of y -> e_d(m ybar) on Z_d), or directly, with no
@@ -35,25 +38,32 @@ multiplications per unit.  It is exact in int64 for d <= 1e8 because
 every product stays below d^2 <= 1e16 < 2^63.  The units above d/2 take
 inv(d - u) = d - inv(u).
 
+One evaluator per d (units, inverses, twiddle table) is kept in a
+least-recently-used cache bounded by the bytes of its arrays
+(cache.CACHE_BYTES), not by its number of entries: a pass over many
+small moduli keeps them all, and an evaluator near d = 1e7 (220-320 MB)
+fills it on its own.
+
 Classical identities (symmetry, degeneration to Ramanujan sums, twisted
 multiplicativity, Weil's bound) are test oracles, not used in evaluation.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import batch_inverse, divisors, reduced_residues, tau_of
+from .cache import ByteLRU
 from .errors import ConfigInvalid, InvalidModulus, WindowTooLarge
 
 TWIDDLE_CAP = 10**7  # above this, phases are computed on the fly per call
 _TABLE_CAP = 4096  # full d x d tables: 8 d^2 bytes of float64
 _TABLE_BLOCK = 1 << 20  # table entries gathered per step (8 MiB of int64 indices)
 _PHASE_BLOCK = 1 << 16  # split-phase entries per block of frequencies (1 MiB of complex128)
+_VALUE_BLOCK = 1 << 16  # units summed per step of the scalar (1 MiB of complex128 phases)
 
 _FFT_OVER_DIRECT = 3.0  # auto: fft when len(a) s^2 > this * d log2 d (fit in batch_over_a)
 _IMAG_SLACK = 1e-9  # allowance on an accumulated imaginary part, per unit of sum |term|
@@ -64,7 +74,7 @@ def _side(d: int) -> int:
     return math.isqrt(d - 1) + 1
 
 
-@functools.lru_cache(maxsize=64)
+@ByteLRU
 def _evaluator(d: int) -> "KloostermanEvaluator":
     return KloostermanEvaluator.build(d)
 
@@ -117,8 +127,17 @@ class KloostermanEvaluator:
         return np.exp(2j * np.pi / self.d * idx)
 
     def value(self, m: int, n: int) -> float:
-        idx = (m % self.d * self.units + n % self.d * self.inverses) % self.d
-        return float(self._real_part(self._phases(idx).sum(), f"{m},{n}", self.phi))
+        d, mr, nr = self.d, m % self.d, n % self.d
+        total = 0j
+        for lo in range(0, self.phi, _VALUE_BLOCK):
+            hi = lo + _VALUE_BLOCK
+            idx = mr * self.units[lo:hi] + nr * self.inverses[lo:hi]
+            # idx %= d, exactly: on a block this size, int64 // by a scalar
+            # (numpy precomputes a multiplier) and a multiply-subtract are
+            # ~2.4x faster than %, which divides element by element
+            idx -= idx // d * d
+            total += self._phases(idx).sum()
+        return float(self._real_part(total, f"{m},{n}", self.phi))
 
     def _real_part(self, z: np.ndarray, label: str, scale: float) -> np.ndarray:
         """z.real, after checking every |Im z| against the slack per unit of scale.

@@ -152,8 +152,9 @@ def _sieve_odd(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
     e = -(-np.maximum(m_lo, d * (d + 2)) // d) | 1
     first = (d * e - 1) // 2 - lo
     hit = first < n
+    two = np.uint16(2)  # a numpy scalar: no Python-int conversion per strided add
     for f, step in zip(first[hit].tolist(), d[hit].tolist()):
-        tau[f::step] += 2
+        tau[f::step] += two
     e = np.arange(math.isqrt(m_lo - 1) + 1 | 1, math.isqrt(m_hi) + 1, 2, dtype=np.int64)
     tau[(e * e - 1) // 2 - lo] += 1
     return tau

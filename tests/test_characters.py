@@ -188,6 +188,27 @@ def test_zeta_powers_are_built_on_first_use():
     assert t.zeta_powers is vars(t)["zeta_powers"]
 
 
+def test_table_cache_counts_builds_and_clears():
+    character_table.cache_clear()
+    assert character_table.cache_info().misses == 0
+    t = character_table(101)
+    assert character_table(101) is t and character_table(103) is not t
+    info = character_table.cache_info()
+    assert (info.hits, info.misses, info.entries) == (1, 2, 2)
+    character_table.cache_clear()
+    assert character_table.cache_info() == (0, 0, 0, 0)
+    assert character_table(101) is not t and character_table.cache_info().misses == 1
+
+
+def test_table_cache_counts_zeta_powers_once_built():
+    character_table.cache_clear()
+    t = character_table(10007)
+    assert character_table.cache_info().nbytes == t.index.nbytes
+    t.chi(1, 2)  # builds zeta_powers
+    character_table(10007)
+    assert character_table.cache_info().nbytes == t.index.nbytes + t.zeta_powers.nbytes
+
+
 def test_fourth_moment_validation():
     with pytest.raises(InvalidRange):
         fourth_moment(7, 0, -1)

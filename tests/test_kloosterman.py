@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from divprog.arith import batch_inverse, euler_phi, is_prime, mod_inverse, ramanujan_sum
+from divprog import cache as cache_module
 from divprog import kloosterman as kloosterman_module
 from divprog.errors import WindowTooLarge
 from divprog.kloosterman import (
@@ -275,6 +276,70 @@ def test_evaluator_reuse_and_phi():
     ev = KloostermanEvaluator.build(60)
     assert ev.phi == euler_phi(60)
     assert abs(ev.value(1, 1) - kloosterman(60, 1, 1)) < 1e-12
+
+
+def test_evaluator_cache_hit_does_not_build(monkeypatch):
+    kloosterman_module._evaluator.cache_clear()
+    builds = []
+    real = KloostermanEvaluator.build
+
+    def spy(d):
+        builds.append(d)
+        return real(d)
+
+    monkeypatch.setattr(KloostermanEvaluator, "build", staticmethod(spy))
+    ev = kloosterman_module._evaluator(1009)
+    assert kloosterman_module._evaluator(1009) is ev and builds == [1009]
+    kloosterman(1009, 2, 3), kloosterman_batch_over_a(1009, 2, [1, 2])
+    assert builds == [1009]
+    info = kloosterman_module._evaluator.cache_info()
+    assert (info.misses, info.entries) == (1, 1)
+    assert info.nbytes == ev.units.nbytes + ev.inverses.nbytes + ev.twiddle.nbytes
+
+
+def test_evaluator_cache_is_bounded_by_bytes(monkeypatch):
+    kloosterman_module._evaluator.cache_clear()
+
+    def nbytes(d):
+        ev = KloostermanEvaluator.build(d)
+        return ev.units.nbytes + ev.inverses.nbytes + ev.twiddle.nbytes
+
+    # about 32 bytes per residue: 1009 and 2039 fit, 3001 evicts both
+    monkeypatch.setattr(cache_module, "CACHE_BYTES", 150_000)
+    for d in (1009, 2039, 3001, 1009):
+        kloosterman(d, 1, 1)
+    info = kloosterman_module._evaluator.cache_info()
+    assert (info.misses, info.entries) == (4, 2)
+    assert info.nbytes == nbytes(3001) + nbytes(1009) <= 150_000 < nbytes(3001) + nbytes(2039)
+
+
+def test_scalar_sum_in_blocks_matches_brute(monkeypatch):
+    monkeypatch.setattr(kloosterman_module, "_VALUE_BLOCK", 97)
+    for d in (1009, 2040):
+        ev = KloostermanEvaluator.build(d)
+        assert ev.phi > 3 * 97
+        for m, n in ((1, 1), (0, 5), (17, -3), (d - 1, 2 * d + 7)):
+            assert abs(ev.value(m, n) - _brute(d, m, n)) < 1e-9, (d, m, n)
+
+
+def test_scalar_checks_the_imaginary_part_of_the_blocked_sum(monkeypatch):
+    # one corrupted phase in the third block: the total is no longer real
+    monkeypatch.setattr(kloosterman_module, "_VALUE_BLOCK", 97)
+    real = KloostermanEvaluator._phases
+    calls = []
+
+    def corrupted(self, idx):
+        out = real(self, idx).copy()
+        calls.append(len(idx))
+        if len(calls) == 3:
+            out[5] *= 1j
+        return out
+
+    monkeypatch.setattr(KloostermanEvaluator, "_phases", corrupted)
+    ev = KloostermanEvaluator.build(1009)
+    with pytest.raises(FloatingPointError, match=r"K_1009\(4,-9\)"):
+        ev.value(4, -9)
+    assert calls[:3] == [97, 97, 97] and sum(calls) == ev.phi
 
 
 def test_oversized_modulus_rejected():

@@ -285,6 +285,23 @@ def test_cli_report_name_follows_format(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tau_x1000_q7.csv", "tau_x1000_q7.json"]
 
 
+def test_cli_parser_is_reused_without_sharing_parsed_state(tmp_path, capsys):
+    # one parser per process; flags and subcommand arguments of one call do
+    # not carry over to the next
+    first = ["--seed", "7", "--format", "json", "--out-dir", str(tmp_path / "o1"),
+             "kloosterman", "--d", "13", "--m", "2", "--batch-a", "0,3"]
+    assert main(first) == 0
+    assert json.loads(Path(capsys.readouterr().out.strip()).read_text())["seed"] == 7
+    assert main(["--out-dir", str(tmp_path / "o2"), "tau", "--x", "100", "--q", "7"]) == 0
+    path = Path(capsys.readouterr().out.strip())
+    assert path == tmp_path / "o2" / "tau_x100_q7.csv"
+    assert path.read_text().splitlines()[0] == "# seed=0"
+    assert cli._parser() is cli._parser()
+    args = cli._parser().parse_args(["tau", "--x", "100", "--q", "7"])
+    assert (args.seed, args.format, args.out_dir, args.a) == (0, "csv", ".", None)
+    assert not hasattr(args, "batch_a")
+
+
 def test_cli_tau_row_sum_check_raises(tmp_path, monkeypatch, capsys):
     def broken(X, q):
         vec = divisor_sum_progressions(X, q)
