@@ -23,7 +23,7 @@ import random
 
 import numpy as np
 
-from .errors import InvalidModulus, NotInvertible, NotPrime
+from .errors import InvalidModulus, NonReducedResidue, NotInvertible, NotPrime
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -174,6 +174,15 @@ def reduced_residues(d: int) -> np.ndarray:
     return np.flatnonzero(keep).astype(np.int64)
 
 
+def reduced_mod(residues, q: int) -> np.ndarray:
+    """The residues mod q as int64; NonReducedResidue names the first not prime to q."""
+    a = np.asarray(residues, dtype=np.int64) % q
+    bad = np.gcd(a, q) != 1
+    if bad.any():
+        raise NonReducedResidue(f"{int(a[bad][0])} shares a factor with {q}")
+    return a
+
+
 def mobius(n: int) -> int:
     fac = factorize(n)
     if any(e > 1 for _, e in fac):
@@ -205,13 +214,11 @@ def ramanujan_sum(d: int, a: int) -> int:
 
 
 def primitive_root(p: int) -> int:
-    """Least primitive root of an odd prime p (and 1 for p = 2)."""
+    """Least primitive root of a prime p: 1 for p = 2, at least 2 otherwise."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if p == 2:
-        return 1
     qs = [q for q, _ in factorize(p - 1)]
-    for g in range(2, p):
+    for g in range(1, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
             return g
     raise AssertionError("unreachable: every prime has a primitive root")

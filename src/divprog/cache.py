@@ -1,13 +1,11 @@
 """Least-recently-used caches of built tables, bounded by the bytes they hold.
 
-An entry is counted at the nbytes of the numpy arrays among its instance
-attributes, so an array that a cached_property builds after the entry is
-returned (a character table's zeta_powers) counts once it exists: the
-newest entry is re-measured at the start of each call, since that is the
-one its caller has been using.  Each cache keeps a running byte total and
-evicts oldest-first while the total is above CACHE_BYTES, read at call
-time; the newest entry is always kept, even when it alone is above the
-budget.
+An entry is counted once, when it is built, at the nbytes of the numpy
+arrays among its instance attributes; a cached table holds no lazily
+built state, so its size does not change after that.  Each cache keeps a
+running byte total and evicts oldest-first while the total is above
+CACHE_BYTES, read at call time; the newest entry is always kept, even
+when it alone is above the budget.
 """
 
 from __future__ import annotations
@@ -41,30 +39,23 @@ class ByteLRU:
         self.cache_clear()
 
     def __call__(self, key: Hashable):
-        entries, sizes = self._entries, self._sizes
-        if entries:
-            newest = next(reversed(entries))
-            size = _nbytes(entries[newest])
-            self._total += size - sizes[newest]
-            sizes[newest] = size
+        entries = self._entries
         if key in entries:
             self._hits += 1
             entries.move_to_end(key)
-            value = entries[key]
         else:
             self._misses += 1
-            value = entries[key] = self._build(key)
-            sizes[key] = _nbytes(value)
-            self._total += sizes[key]
+            value = self._build(key)
+            entries[key] = (value, _nbytes(value))
+            self._total += entries[key][1]
         while self._total > CACHE_BYTES and len(entries) > 1:
-            oldest, _ = entries.popitem(last=False)
-            self._total -= sizes.pop(oldest)
-        return value
+            _, (_, size) = entries.popitem(last=False)
+            self._total -= size
+        return entries[key][0]
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self._hits, self._misses, len(self._entries), self._total)
 
     def cache_clear(self) -> None:
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
-        self._sizes: dict[Hashable, int] = {}
+        self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()  # key: (value, nbytes)
         self._total = self._hits = self._misses = 0

@@ -6,7 +6,9 @@ root g of p, let ind(x) be the log of x base g, and set
     chi_j(x) = e(j * ind(x) / (p - 1)),   j = 0 .. p-2,   chi_j(0) = 0.
 
 chi_0 is principal, chi_j * chi_k = chi_{j+k mod p-1}, and orthogonality
-(1/(p-1)) sum_j chi_j(a) = [a = 1 mod p] all come for free.
+(1/(p-1)) sum_j chi_j(a) = [a = 1 mod p] all come for free.  The table is
+p, g and ind alone for every prime (g = 1 for p = 2); values of chi are
+computed from ind where they are used.
 
 The log table is built by baby-step/giant-step in O(sqrt p) Python
 steps: with m = ceil(sqrt(p-1)), the baby steps g^j (j < m) and the
@@ -44,7 +46,8 @@ is the cyclic convolution of two index histograms over Z/(p-1), computed
 as a linear convolution at the least power-of-two FFT length of at least
 2(p-1)-1 (p-1 may have a large prime factor, where a length-(p-1) FFT is
 slow), folded mod p-1 and rounded.  Its reference envelope is
-H1H2H3H4/p + sqrt(H1H2H3H4).
+H1H2H3H4/p + sqrt(H1H2H3H4).  Both dot products (sum c_k^2 <= N^4, the
+count <= H1H2H3H4) are int64 while that bound is below 2^63, Python ints above.
 
 Gauss sums follow the convention tau(chi) = sum_z conj(chi)(z) e_p(z),
 with eta(chi) = conj(tau)/tau the unimodular factor in the twisted
@@ -53,8 +56,8 @@ Poisson formula.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +74,7 @@ _BRUTE_TERMS = 10**6  # window length ceiling of the literal fourth-moment loop
 
 @dataclass(frozen=True)
 class CharacterTable:
-    """Discrete-log table for the full character group mod an odd prime."""
+    """Discrete-log table for the full character group mod a prime."""
 
     p: int
     g: int
@@ -79,9 +82,7 @@ class CharacterTable:
 
     @classmethod
     def build(cls, p: int) -> "CharacterTable":
-        if not is_prime(p) or p == 2:
-            raise NotPrime(f"need an odd prime, got {p}")
-        g = primitive_root(p)
+        g = primitive_root(p)  # NotPrime unless p is prime
         # baby steps g^j (j < m) and giant steps g^(mk): g^(mk + j) is one
         # outer product mod p, read row by row in order of the exponent
         m = math.isqrt(p - 2) + 1
@@ -97,11 +98,6 @@ class CharacterTable:
         index[powers.ravel()[: p - 1]] = np.arange(p - 1)
         return cls(p=p, g=g, index=index)
 
-    @functools.cached_property
-    def zeta_powers(self) -> np.ndarray:
-        """e(k / (p-1)) for k = 0 .. p-2, built on first use."""
-        return np.exp(2j * np.pi / (self.p - 1) * np.arange(self.p - 1))
-
     @property
     def order(self) -> int:
         return self.p - 1
@@ -111,13 +107,12 @@ class CharacterTable:
         x %= self.p
         if x == 0:
             return 0j
-        return complex(self.zeta_powers[j * self.index[x] % (self.p - 1)])
+        return complex(_chi_values(self, j, x))
 
     def chi_row(self, j: int) -> np.ndarray:
         """chi_j on 0..p-1 as one array (0 at x = 0)."""
         row = np.zeros(self.p, dtype=np.complex128)
-        xs = np.arange(1, self.p)
-        row[xs] = self.zeta_powers[j % (self.p - 1) * self.index[xs] % (self.p - 1)]
+        row[1:] = _chi_values(self, j, np.arange(1, self.p))
         return row
 
     def conductor_is_primitive(self, j: int) -> bool:
@@ -125,9 +120,22 @@ class CharacterTable:
         return j % (self.p - 1) != 0
 
 
+def _chi_values(table: CharacterTable, j: int, x):
+    """chi_j at the units x (an array or one residue): e(k / (p-1)), k = j ind(x)."""
+    n = table.p - 1
+    return np.exp(2j * np.pi / n * (j % n * table.index[x] % n))
+
+
 @ByteLRU
 def character_table(p: int) -> CharacterTable:
     return CharacterTable.build(p)
+
+
+def _exact_dot(u: np.ndarray, v: np.ndarray, bound: int) -> int:
+    """u . v of nonnegative int64 counts whose dot is at most bound, exactly."""
+    if bound < 2**63:  # no partial sum can wrap
+        return int(np.dot(u, v))
+    return sum(map(operator.mul, u.tolist(), v.tolist()))
 
 
 def _residue_counts(p: int, K: int, H: int) -> np.ndarray:
@@ -164,8 +172,7 @@ def fourth_moment(p: int, K: int, H: int) -> float:
     block = max(1, _PAIR_BLOCK // max(N, 1))
     for lo in range(0, N, block):
         c += np.bincount(((logs[lo : lo + block, None] + logs) % n).ravel(), minlength=n)
-    # sum c_k^2 <= N^4 fits int64; (p-1) times it may not
-    return float(n * int(np.dot(c, c)) - N**4)
+    return float(n * _exact_dot(c, c, N**4) - N**4)
 
 
 def fourth_moment_brute(p: int, K: int, H: int) -> float:
@@ -179,8 +186,7 @@ def fourth_moment_brute(p: int, K: int, H: int) -> float:
     xs = xs[xs != 0]
     total = 0.0
     for j in range(1, p - 1):
-        s = table.zeta_powers[j * table.index[xs] % (p - 1)].sum()
-        total += abs(s) ** 4
+        total += abs(_chi_values(table, j, xs).sum()) ** 4
     return total
 
 
@@ -189,7 +195,7 @@ def gauss_sum(table: CharacterTable, j: int) -> complex:
     p = table.p
     z = np.arange(1, p)
     phases = np.exp(2j * np.pi / p * z)
-    chibar = np.conj(table.zeta_powers[j % (p - 1) * table.index[z] % (p - 1)])
+    chibar = np.conj(_chi_values(table, j, z))
     return complex(np.sum(chibar * phases))
 
 
@@ -247,11 +253,11 @@ def multiplicative_congruence_count(
     """Exact count of x1 x2 = x3 x4 mod p with no factor divisible by p."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    bound = math.prod(_box_length(b) for b in (box1, box2, box3, box4))
     h12 = _product_histogram(p, box1, box2)
     if (box3, box4) in ((box1, box2), (box2, box1)):
-        return int(np.dot(h12, h12))
-    h34 = _product_histogram(p, box3, box4)
-    return int(np.dot(h12, h34))
+        return _exact_dot(h12, h12, bound)
+    return _exact_dot(h12, _product_histogram(p, box3, box4), bound)
 
 
 def multiplicative_congruence_count_brute(
@@ -267,14 +273,12 @@ def multiplicative_congruence_count_brute(
     count = 0
     for x1 in range(box1[0], box1[1] + 1):
         for x2 in range(box2[0], box2[1] + 1):
-            if x1 * x2 % p == 0:
-                continue
             lhs = x1 * x2 % p
+            if lhs == 0:
+                continue
             for x3 in range(box3[0], box3[1] + 1):
                 for x4 in range(box4[0], box4[1] + 1):
-                    if x3 * x4 % p == 0:
-                        continue
-                    if lhs == x3 * x4 % p:
+                    if lhs == x3 * x4 % p:  # so p divides neither x3 nor x4
                         count += 1
     return count
 

@@ -159,6 +159,9 @@ class ExperimentConfig:
         sets = raw.get("sets", {})
         if not isinstance(sets, dict):
             raise ConfigInvalid("sets: must be an object")
+        unknown = set(sets) - {"kind", "lengths", "offsets"}
+        if unknown:
+            raise ConfigInvalid(f"unknown sets keys: {sorted(unknown)}")
         try:
             return cls(
                 experiment=raw.get("experiment", ""),

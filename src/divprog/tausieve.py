@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import batch_inverse
-from .errors import ConfigInvalid, InvalidModulus, InvalidRange, NonReducedResidue, WindowTooLarge
+from .arith import batch_inverse, reduced_mod
+from .errors import ConfigInvalid, InvalidModulus, InvalidRange, WindowTooLarge
 
 _MEMORY_BUDGET = 2 * 2**30  # bytes a sieve window or a naive-route sum vector may take
 _WINDOW_CAP = 2**40  # windows must sit below this
@@ -308,11 +308,7 @@ def progression_sums_set(X: int, q: int, residues) -> np.ndarray:
     _check_progression(X, q)
     if q > _FOLD_Q_MAX:
         raise InvalidModulus(f"need q <= {_FOLD_Q_MAX} for int64 products a dbar, got {q}")
-    a = np.asarray(residues, dtype=np.int64) % q
-    bad = np.gcd(a, q) != 1
-    if bad.any():
-        raise NonReducedResidue(f"{int(a[bad][0])} shares a factor with {q}")
-    a, where = np.unique(a, return_inverse=True)
+    a, where = np.unique(reduced_mod(residues, q), return_inverse=True)
     if len(a) > _pairs_max_residues(X, q):
         return divisor_sum_progressions(X, q).sums[a][where]
     D = math.isqrt(X)

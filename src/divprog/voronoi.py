@@ -61,8 +61,8 @@ import numpy as np
 
 from .cutoff import SmoothCutoff
 from .bessel import bessel_k1, bessel_y1
-from .errors import InvalidRange, NonReducedResidue, SupportTooLarge
-from .arith import divisors
+from .errors import InvalidRange, SupportTooLarge
+from .arith import divisors, reduced_mod
 from .kloosterman import _evaluator
 from .quadrature import gauss_kronrod
 from .tausieve import sieve_tau
@@ -171,10 +171,10 @@ def _integrals(cutoff: SmoothCutoff, c: np.ndarray, oscillatory: bool, kernel,
 
     The panels are those of _windows, each cut into `split`.  Columns: the
     25-point Kronrod value, the 12-point Gauss value on the same nodes, and
-    the Kronrod value of the integrand's absolute value.  The panels of a
-    run of weights are taken window by window, so that one block holds
-    similar kernel arguments (the Hankel expansion's term count follows
-    its argument).
+    the Kronrod value of the integrand's absolute value.  A block (from
+    _groups) is a run of weights with its panels in every window, and one
+    kernel call takes them all, so its arguments span several bands of the
+    kernel (the Hankel expansion's term count follows its argument).
     """
     root_lo, root_hi, counts = _windows(cutoff, c, oscillatory, split)
     first, lo, hi = _distinct_panels(root_lo, root_hi, counts)
@@ -293,13 +293,9 @@ def voronoi_error_terms(
     eps: float = 0.05,
 ) -> list[VoronoiErrorTerm]:
     """The expansion evaluated for several residues, sharing all weights."""
-    a_list = [a % q for a in a_values]
-    for a in a_list:
-        if math.gcd(a, q) != 1:
-            raise NonReducedResidue(f"{a} shares a factor with {q}")
+    a_arr = reduced_mod(a_values, q)
     cutoff = SmoothCutoff(X=float(X), Y=float(Y))
-    a_arr = np.asarray(a_list, dtype=np.int64)
-    totals = np.zeros(len(a_list))
+    totals = np.zeros(len(a_arr))
     report: list[TruncationEntry] = []
     for d in divisors(q):
         _, V = truncation_thresholds(d, float(X), float(Y), eps)
@@ -324,5 +320,5 @@ def voronoi_error_terms(
             X=X, q=q, a=a, Y=Y, eps=eps, approx_R=float(t) / q, budget=budget,
             truncation_report=rep,
         )
-        for a, t in zip(a_list, totals)
+        for a, t in zip(a_arr.tolist(), totals)
     ]

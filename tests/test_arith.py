@@ -14,10 +14,11 @@ from divprog.arith import (
     mod_inverse,
     primitive_root,
     ramanujan_sum,
+    reduced_mod,
     reduced_residues,
     tau_of,
 )
-from divprog.errors import InvalidModulus, NotInvertible, NotPrime
+from divprog.errors import InvalidModulus, NonReducedResidue, NotInvertible, NotPrime
 
 
 # ---------------------------------------------------------------- inverses
@@ -160,11 +161,27 @@ def test_primitive_root_order():
         assert len(seen) == p - 1, p
 
 
+def test_primitive_root_is_the_least_generator():
+    # g = 1 generates only the trivial group of p = 2; every odd prime's
+    # root is the least g >= 2 whose powers reach every unit
+    for p in (q for q in range(3, 400) if is_prime(q)):
+        least = next(g for g in range(2, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+        assert primitive_root(p) == least, p
+
+
 def test_primitive_root_rejects_composites():
     with pytest.raises(NotPrime):
         primitive_root(15)
     with pytest.raises(NotPrime):
         primitive_root(1)
+
+
+def test_reduced_mod_names_the_first_offender_in_input_order():
+    assert reduced_mod([13, -1, 5, 0], 1).tolist() == [0, 0, 0, 0]
+    assert reduced_mod([13, -1, 5], 12).tolist() == [1, 11, 5]
+    assert reduced_mod([], 12).tolist() == []
+    with pytest.raises(NonReducedResidue, match="^4 shares a factor with 12$"):
+        reduced_mod([5, 16, 6], 12)
 
 
 def test_reduced_residues_against_gcd_filter():

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 
 from divprog import cache
@@ -9,10 +7,6 @@ from divprog.cache import ByteLRU
 class Table:
     def __init__(self, n):
         self.values = np.zeros(n, dtype=np.uint8)  # n bytes
-
-    @functools.cached_property
-    def extra(self):
-        return np.zeros(50, dtype=np.uint8)
 
 
 def _counted(built):
@@ -53,22 +47,6 @@ def test_entry_above_the_budget_is_kept_as_the_newest(monkeypatch):
     assert tables.cache_info() == (1, 3, 1, 20)
 
 
-def test_lazily_built_arrays_count_once_they_exist(monkeypatch):
-    monkeypatch.setattr(cache, "CACHE_BYTES", 250)
-    built = []
-    tables = _counted(built)
-    t = tables(100)
-    assert tables.cache_info().nbytes == 100
-    t.extra  # 50 more bytes, read at the next call
-    tables(100)
-    assert tables.cache_info().nbytes == 150
-    tables(90)  # 240 bytes: both stay
-    assert tables.cache_info().entries == 2
-    tables(90).extra
-    tables(5)  # 100 + 140 + 5 > 250: 100 goes
-    assert tables.cache_info() == (2, 3, 2, 145)
-
-
 def test_cache_clear_resets_entries_and_counts():
     built = []
     tables = _counted(built)
@@ -77,3 +55,17 @@ def test_cache_clear_resets_entries_and_counts():
     assert tables.cache_info() == (0, 0, 0, 0)
     tables(3)
     assert built == [3, 3] and tables.cache_info().misses == 1
+
+
+def test_an_entry_is_measured_once_when_built(monkeypatch):
+    measured = []
+
+    def nbytes(value):
+        measured.append(len(value.values))
+        return value.values.nbytes
+
+    monkeypatch.setattr(cache, "_nbytes", nbytes)
+    tables = _counted([])
+    for n in (7, 7, 8, 7, 8, 8):
+        tables(n)
+    assert measured == [7, 8] and tables.cache_info() == (4, 2, 2, 15)

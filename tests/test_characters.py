@@ -17,6 +17,7 @@ from divprog.characters import (
     multiplicative_congruence_count_brute,
 )
 from divprog.errors import InvalidRange, NotPrime, NotPrimitive
+from divprog.poisson import BumpFunction, ProductTestFunction, poisson_tau_twisted
 
 
 def test_table_construction_and_validation():
@@ -26,8 +27,8 @@ def test_table_construction_and_validation():
     assert t.index[0] == -1
     with pytest.raises(NotPrime):
         CharacterTable.build(12)
-    with pytest.raises(NotPrime):
-        CharacterTable.build(2)
+    t = CharacterTable.build(2)  # the trivial group: g = 1, ind(1) = 0
+    assert t.g == 1 and t.index.tolist() == [-1, 0]
 
 
 def test_index_matches_sequential_walk():
@@ -178,14 +179,32 @@ def test_fourth_moment_route_by_cost(monkeypatch):
         assert len(calls) == n_calls, H
 
 
-def test_zeta_powers_are_built_on_first_use():
+def test_table_holds_the_index_alone():
     character_table.cache_clear()
-    p = 10007
-    t = character_table(p)
-    fourth_moment(p, 5, 200)  # the pair route reads the log table only
-    assert "zeta_powers" not in vars(t)
-    assert abs(t.chi(1, t.g) - np.exp(2j * np.pi / (p - 1))) < 1e-14
-    assert t.zeta_powers is vars(t)["zeta_powers"]
+    t = character_table(7)
+    t.chi(1, 2), t.chi_row(3), gauss_sum(t, 5), eta_factor(t, 5)
+    poisson_tau_twisted(ProductTestFunction(BumpFunction(2.5, 1.6), BumpFunction(3.0, 2.2)), 7, 2)
+    assert set(vars(t)) == {"p", "g", "index"}
+    assert character_table(7) is t
+    assert character_table.cache_info().nbytes == t.index.nbytes
+
+
+def test_character_values_are_powers_of_one_root_of_unity():
+    for p in (3, 7, 13, 101, 1009):
+        t = character_table(p)
+        zeta = np.exp(2j * np.pi / (p - 1) * np.arange(p - 1))
+        xs = np.arange(1, p)
+        for j in (0, 1, 2, p // 3, p - 2, -1):
+            k = j * t.index[xs] % (p - 1)
+            assert np.array_equal(t.chi_row(j)[1:], zeta[k]), (p, j)
+            assert all(t.chi(j, int(x)) == zeta[kx] for x, kx in zip(xs[:50], k)), (p, j)
+            z = np.arange(1, p)
+            want = complex(np.sum(np.conj(zeta[k]) * np.exp(2j * np.pi / p * z)))
+            assert gauss_sum(t, j) == want, (p, j)
+        window = np.arange(5, 5 + 40) % p
+        window = window[window != 0]
+        want = sum(abs(zeta[j * t.index[window] % (p - 1)].sum()) ** 4 for j in range(1, p - 1))
+        assert fourth_moment_brute(p, 5, 39) == want, p
 
 
 def test_table_cache_counts_builds_and_clears():
@@ -198,15 +217,6 @@ def test_table_cache_counts_builds_and_clears():
     character_table.cache_clear()
     assert character_table.cache_info() == (0, 0, 0, 0)
     assert character_table(101) is not t and character_table.cache_info().misses == 1
-
-
-def test_table_cache_counts_zeta_powers_once_built():
-    character_table.cache_clear()
-    t = character_table(10007)
-    assert character_table.cache_info().nbytes == t.index.nbytes
-    t.chi(1, 2)  # builds zeta_powers
-    character_table(10007)
-    assert character_table.cache_info().nbytes == t.index.nbytes + t.zeta_powers.nbytes
 
 
 def test_fourth_moment_validation():
@@ -308,6 +318,37 @@ def test_congruence_histogram_route_matches_pair_route(monkeypatch):
         monkeypatch.undo()
         for h1, h2 in zip(pair, hist):
             assert np.array_equal(h1, h2), p
+
+
+def test_p2_runs_through_the_general_path(monkeypatch):
+    boxes = [(1, 30)] * 4
+    brute = multiplicative_congruence_count(2, *boxes)
+    monkeypatch.setattr(characters, "_BRUTE_CAP", 0)
+    assert multiplicative_congruence_count(2, *boxes) == brute == 15**4
+    assert multiplicative_congruence_count_brute(2, *boxes) == brute
+    assert multiplicative_congruence_count(2, *[(1, 3000)] * 4) == 1500**4
+    for K, H in ((0, 0), (1, 0), (3, 10)):
+        assert _moment_by_pairs(monkeypatch, 2, K, H) == 0
+        assert _moment_by_dft(monkeypatch, 2, K, H) == 0
+        assert fourth_moment_brute(2, K, H) == 0
+    with pytest.raises(NotPrimitive):
+        eta_factor(character_table(2), 1)
+
+
+def test_congruence_count_is_exact_past_int64():
+    # sum h^2 = 15375747014559362152 > 2^63: an int64 dot product wraps
+    box = (1, 200000)
+    h = characters._product_histogram(101, box, box)
+    want = sum(v * v for v in h.tolist())
+    assert want > 2**63
+    assert multiplicative_congruence_count(101, box, box, box, box) == want
+    other = (7, 190000)
+    h2 = characters._product_histogram(101, other, box)
+    want2 = sum(a * b for a, b in zip(h.tolist(), h2.tolist()))
+    assert multiplicative_congruence_count(101, box, box, other, box) == want2 > 2**63
+    # the pair route of fourth_moment squares its pair counts the same way
+    c = np.full(3, 2**32, dtype=np.int64)
+    assert characters._exact_dot(c, c, 3 * 2**64) == 3 * 2**64
 
 
 def test_congruence_validation():

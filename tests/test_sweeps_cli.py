@@ -98,6 +98,8 @@ def test_config_round_trip(tmp_path):
         (lambda d: d.update(sets={"kind": "interval", "lengths": []}), "lengths"),
         (lambda d: d.update(sets={"kind": "banana", "lengths": [4]}), "set_kind"),
         (lambda d: d.update(bogus_key=1), "unknown"),
+        (lambda d: d.update(sets={"kind": "interval", "lengths": [40], "offset": [500]}),
+         "unknown sets keys: ['offset']"),
         (lambda d: d.update(thresholds={"ratio_nope": 1}), "thresholds"),
         (lambda d: d.update(thresholds={"max_ratio_set_abs": 1}), "max_ratio_set_abs"),
     ],
@@ -453,6 +455,15 @@ def test_cli_moment4_prints_the_exact_integer(capsys):
     out = capsys.readouterr().out
     assert '"moment": 4323890292685,' in out
     assert json.loads(out)["moment"] == fourth_moment(999983, 12345, 1500) == 4323890292685
+
+
+def test_cli_characters_at_p2(capsys):
+    assert main(["moment4", "--p", "2", "--k", "0", "--h", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["moment"] == 0
+    assert main(["congcount", "--p", "2", "--boxes", "1,3000,1,3000,1,3000,1,3000"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 1500**4
+    assert main(["poisson-check", "--q", "2", "--chi", "1"]) == 2
+    assert "principal" in capsys.readouterr().err
 
 
 def test_cli_poisson_check(capsys):
