@@ -91,7 +91,7 @@ def bilinear_sum(inst: BilinearInstance) -> complex:
 
 def bilinear_sum_unweighted_a(inst: BilinearInstance) -> complex:
     """Fast route for alpha == 1: two length-d DFTs."""
-    if not np.allclose(inst.alpha, 1.0, atol=1e-12):
+    if not np.allclose(inst.alpha, 1.0, rtol=0, atol=1e-12):
         raise InvalidRange("fast path requires alpha identically 1")
     ev = _evaluator(inst.d)
     d = inst.d

@@ -18,11 +18,11 @@ Three routes, used against each other in the tests:
     FFT: the phases e_d(m x) are scattered to y = xbar and summed against
     e_d(a y) for each a.  The direct sum splits y = s i + j with
     s = isqrt(d - 1) + 1, so e_d(a y) = e_d(a s i) e_d(a j) and a block
-    of a values costs one s x s contraction (phase_sums; its adjoint
-    phase_grid serves the brute bilinear sum).  Its scratch is one grid
-    of 16 s^2 >= 16 d bytes, no less than the fft route's length-d
-    array, plus phase tables of _PHASE_BLOCK entries, so auto picks the
-    route by time alone,
+    of a values costs one matrix product with the s x s grid (phase_sums;
+    its adjoint phase_grid serves the brute bilinear sum).  Its scratch is
+    one grid of 16 s^2 >= 16 d bytes, no less than the fft route's
+    length-d array, plus phase tables of _PHASE_BLOCK entries, so auto
+    picks the route by time alone,
   * full table: all K_d(m, n) at once from one row per divisor g of d.
     For a unit u, K_d(g u, n) = K_d(g, u n) (substitute x -> ubar x), so
     every row m with gcd(m, d) = g is a gather of the row K_d(g, .),
@@ -61,11 +61,11 @@ from .errors import ConfigInvalid, InvalidModulus, WindowTooLarge
 
 TWIDDLE_CAP = 10**7  # above this, phases are computed on the fly per call
 _TABLE_CAP = 4096  # full d x d tables: 8 d^2 bytes of float64
-_TABLE_BLOCK = 1 << 20  # table entries gathered per step (8 MiB of int64 indices)
+_TABLE_BLOCK = 1 << 16  # table entries gathered per step (512 KiB of int64 indices)
 _PHASE_BLOCK = 1 << 16  # split-phase entries per block of frequencies (1 MiB of complex128)
 _VALUE_BLOCK = 1 << 16  # units summed per step of the scalar (1 MiB of complex128 phases)
 
-_FFT_OVER_DIRECT = 3.0  # auto: fft when len(a) s^2 > this * d log2 d (fit in batch_over_a)
+_FFT_OVER_DIRECT = 16.0  # auto: fft when len(a) s^2 > this * d log2 d (fit in batch_over_a)
 _IMAG_SLACK = 1e-9  # allowance on an accumulated imaginary part, per unit of sum |term|
 
 
@@ -156,13 +156,15 @@ class KloostermanEvaluator:
         """K_d(m, a) for each a in a_values; 'direct', 'fft' or 'auto'."""
         a_arr = np.asarray(list(a_values), dtype=np.int64) % self.d
         if method == "auto":
-            # Fitted on 2 cores with numpy 2.4: direct costs 2.2-3.4 ns per
-            # a per grid cell (s^2 ~ d), fft one length-d transform.  The two
-            # took equal time at len(a) near 8 (d = 4096), 22-32 (smooth d
-            # from 30030 to 1e6), and 30, 34, 72, 122, 141 at the primes
-            # 1009, 2039, 10007, 100003, 999983, where the FFT is Bluestein's.
-            # Equal time is c d log2 d / s^2 values of a with c from 0.7 to
-            # 7.4; c = 3 errs by at most ~3x either way.
+            # Fitted on 2 cores with numpy 2.4 and OpenBLAS 0.3 at two
+            # threads: direct costs one BLAS product per block (s^2 ~ d
+            # cells per a), fft one length-d transform.  The two took equal
+            # time at len(a) near 23 (d = 4096), 96-480 (smooth d from 30030
+            # to 1e6: 30030, 65536, 720720, 1e6), and 120, 132, 216, 1344,
+            # 2688 at the primes 1009, 2039, 10007, 100003, 999983, where
+            # the FFT is Bluestein's.  Equal time is c d log2 d / s^2 values
+            # of a with c from 1.9 to 135; c = 16 errs by at most ~8x in
+            # len(a) either way.
             direct_cost = len(a_arr) * self.side**2
             fft_cost = _FFT_OVER_DIRECT * self.d * math.log2(self.d)
             method = "fft" if direct_cost > fft_cost else "direct"
@@ -189,8 +191,8 @@ class KloostermanEvaluator:
         """sum_y g[y] e_d(a y) over y in [0, s^2), for each a in a (residues in [0, d)).
 
         g is a flat s x s grid, y = s i + j, and e_d(a y) = e_d(a s i) e_d(a j):
-        each block of a values is one contraction of the grid with the fine
-        phases, weighted by the coarse ones.
+        each block of a values is one matrix product of the fine phases with
+        the grid, weighted by the coarse ones.
         """
         s = self.side
         grid = g.reshape(s, s)
@@ -198,15 +200,15 @@ class KloostermanEvaluator:
         block = max(1, _PHASE_BLOCK // s)
         for lo in range(0, len(a), block):
             coarse, fine = self._split_phases(a[lo : lo + block])
-            # einsum, not @: OpenBLAS runs these complex shapes several
-            # times slower with two threads than with one
-            out[lo : lo + block] = (coarse * np.einsum("ij,aj->ai", grid, fine)).sum(1)
+            # a BLAS product: 10-20x faster than numpy's own einsum loop on
+            # these complex shapes, with one OpenBLAS thread or two
+            out[lo : lo + block] = (coarse * (fine @ grid.T)).sum(1)
         return out
 
     def phase_grid(self, w: np.ndarray, n: np.ndarray) -> np.ndarray:
         """sum_k w[k] e_d(n[k] x) for every x in [0, s^2), as a flat s x s grid.
 
-        The adjoint of phase_sums: per block of n, one contraction of the
+        The adjoint of phase_sums: per block of n, one matrix product of the
         weighted coarse phases with the fine ones.
         """
         s = self.side
@@ -215,8 +217,7 @@ class KloostermanEvaluator:
         for lo in range(0, len(n), block):
             coarse, fine = self._split_phases(n[lo : lo + block])
             coarse *= w[lo : lo + block, None]
-            # contiguous in k: einsum's inner loop runs over the summed index
-            grid += np.einsum("ik,jk->ij", coarse.T.copy(), fine.T.copy())
+            grid += coarse.T @ fine
         return grid.ravel()
 
     def over_inverses(self, t: np.ndarray) -> np.ndarray:
@@ -255,8 +256,9 @@ def kloosterman_table(d: int) -> np.ndarray:
         # for g = d that is m = 0 alone
         rows, first = np.unique(gu, return_index=True)
         for lo in range(0, len(rows), block):
-            u = ev.units[first[lo : lo + block]]
-            table[rows[lo : lo + block]] = row[u[:, None] * n[None, :] % d]
+            idx = ev.units[first[lo : lo + block], None] * n
+            idx -= idx // d * d  # idx %= d, as in value: cache-sized blocks make // pay
+            table[rows[lo : lo + block]] = row[idx]
     return table
 
 

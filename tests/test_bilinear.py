@@ -13,7 +13,7 @@ from divprog.bilinear import (
     exponent_fit,
     initial_interval_conditions,
 )
-from divprog.errors import InsufficientSpread, IntervalOutOfRange
+from divprog.errors import InsufficientSpread, IntervalOutOfRange, InvalidRange
 from divprog.kloosterman import kloosterman
 
 
@@ -114,6 +114,15 @@ def test_fast_path_rejects_weighted_alpha():
     inst = BilinearInstance(d=11, I=(0, 3), J=(0, 3), alpha=np.array([1, 1, 0.5]), nu=np.ones(3))
     with pytest.raises(ValueError):
         bilinear_sum_unweighted_a(inst)
+
+
+def test_fast_path_rejects_alpha_near_one():
+    # alpha must be 1 to within an absolute 1e-12, with no relative slack;
+    # 1 + 1e-6 is already refused by the weight bound |alpha| <= 1
+    for a1 in (1 - 1e-6, 1 + 1e-6):
+        with pytest.raises(InvalidRange):
+            inst = BilinearInstance(d=101, I=(0, 3), J=(0, 3), alpha=[1, a1, 1], nu=np.ones(3))
+            bilinear_sum_unweighted_a(inst)
 
 
 def test_instance_validation():

@@ -7,6 +7,7 @@ import pytest
 from divprog.arith import batch_inverse, euler_phi, is_prime, mod_inverse, ramanujan_sum
 from divprog import cache as cache_module
 from divprog import kloosterman as kloosterman_module
+from divprog.bilinear import BilinearInstance, bilinear_sum
 from divprog.errors import WindowTooLarge
 from divprog.kloosterman import (
     KloostermanEvaluator,
@@ -185,6 +186,36 @@ def test_full_table_matches_scalar():
     assert np.max(np.abs(tab - want)) < 1e-8
     for m in [0] + [2**k for k in range(10)] + [3 * 2**k for k in range(9)]:
         assert np.max(np.abs(tab[m] - [kloosterman(d, m, n) for n in range(d)])) < 1e-8, m
+
+
+def test_full_table_in_small_blocks_matches_scalar(monkeypatch):
+    # blocks of 5 rows: several per divisor row, the last one partial
+    # (96 = 19 * 5 + 1 unit rows at d = 97); the gather indices do not
+    # depend on the blocking, so the table is bit-identical to one block
+    for d in (60, 97):
+        whole = kloosterman_table(d)
+        monkeypatch.setattr(kloosterman_module, "_TABLE_BLOCK", 5 * d)
+        tab = kloosterman_table(d)
+        monkeypatch.undo()
+        assert tab.tobytes() == whole.tobytes(), d
+        want = np.array([[kloosterman(d, m, n) for n in range(d)] for m in range(d)])
+        assert np.max(np.abs(tab - want)) < 1e-8, d
+
+
+def test_blas_routes_repeat_bit_for_bit():
+    # repeated passes must agree to the bit (the split-phase contractions
+    # are BLAS products, threaded or not), and the direct batch must agree
+    # with the fft one
+    d = 100003
+    a = [(37 * i + 11) % d for i in range(200)]
+    direct = kloosterman_batch_over_a(d, 3, a, method="direct")
+    assert direct.tobytes() == kloosterman_batch_over_a(d, 3, a, method="direct").tobytes()
+    fft = kloosterman_batch_over_a(d, 3, a, method="fft")
+    assert np.max(np.abs(direct - fft)) < 1e-9 * d
+    rng = np.random.default_rng(20)
+    inst = BilinearInstance(d=d, I=(4000, 150), J=(90000, 150),
+                            alpha=rng.uniform(-1, 1, 150), nu=rng.uniform(-1, 1, 150))
+    assert bilinear_sum(inst) == bilinear_sum(inst)
 
 
 def test_fft_routes_check_the_imaginary_part(monkeypatch):
