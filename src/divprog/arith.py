@@ -23,7 +23,7 @@ import random
 
 import numpy as np
 
-from .errors import InvalidModulus, NonReducedResidue, NotInvertible, NotPrime
+from .errors import InvalidModulus, InvalidRange, NonReducedResidue, NotInvertible, NotPrime
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -172,6 +172,46 @@ def reduced_residues(d: int) -> np.ndarray:
     for p, _ in factorize(d):
         keep[::p] = False
     return np.flatnonzero(keep).astype(np.int64)
+
+
+def _squarefree_divisors(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The squarefree divisors d of q and mu(d), as int64."""
+    d, mu = np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for p, _ in factorize(q):
+        d, mu = np.concatenate([d, d * p]), np.concatenate([mu, -mu])
+    return d, mu
+
+
+def count_units(q: int, x) -> np.ndarray:
+    """#{0 <= n <= x : gcd(n, q) = 1} for each x >= 0, as int64.
+
+    Inclusion-exclusion over the squarefree divisors d of q: the sum of
+    mu(d) (floor(x/d) + 1).  n = 0 counts only for q = 1, as in
+    reduced_residues.
+    """
+    d, mu = _squarefree_divisors(q)
+    x = np.asarray(x, dtype=np.int64)
+    return (x[..., None] // d + 1) @ mu
+
+
+def units_by_rank(q: int, ranks) -> np.ndarray:
+    """reduced_residues(q)[ranks] without the list: the least x with ranks + 1 units <= x.
+
+    Bisects every rank at once on count_units, about log2(q) steps of one
+    count per rank and squarefree divisor of q.
+    """
+    target = np.asarray(ranks, dtype=np.int64) + 1
+    if target.size and not 1 <= target.min() <= target.max() <= euler_phi(q):
+        raise InvalidRange(f"need ranks in [0, {euler_phi(q)}) for q = {q}")
+    d, mu = _squarefree_divisors(q)
+    lo = np.zeros_like(target)
+    hi = np.full_like(target, q - 1)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        enough = (mid[..., None] // d + 1) @ mu >= target  # count_units(q, mid)
+        hi = np.where(enough, mid, hi)
+        lo = np.where(enough, lo, mid + 1)
+    return lo
 
 
 def reduced_mod(residues, q: int) -> np.ndarray:

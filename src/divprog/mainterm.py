@@ -86,38 +86,37 @@ def main_term_coprime(X: int, q: int) -> float:
     return phi / q**2 * X * (math.log(X) + 2 * EULER_GAMMA - 1) - 2 * X / q * tail
 
 
-def _divisor_table(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted divisors d of q with mu(d) and phi(d), from one factorization."""
-    rows = [(1, 1, 1)]
-    for p, e in factorize(q):
-        rows = [
-            (d * p**k, mu * (1 if k == 0 else -1 if k == 1 else 0),
-             phi * ((p - 1) * p ** (k - 1) if k else 1))
-            for d, mu, phi in rows
-            for k in range(e + 1)
-        ]
-    divs, mu, phi = np.array(sorted(rows), dtype=np.int64).T
-    return divs, mu, phi
-
-
 def _class_main_terms(X: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted divisors g of q and M(X; a, q) for the class gcd(a, q) = g.
 
-    r_d(a) depends on a only through g = gcd(a, q), so M is computed once per
-    divisor g of q, with r_d(g) = mu(d/h) phi(d) / phi(d/h), h = gcd(g, d).
-    The d-sum runs in ascending d, the order the scalar polynomial uses.
-    Every reduced residue takes the first value, the class g = 1.
+    r_d(a) depends on a only through g = gcd(a, q), and it is multiplicative
+    in d: for p^e || q, d = p^a d' and g = p^b g', the factor is
+    c_{p^a}(p^b) = 1 if a = 0, phi(p^a) if b >= a, -p^(a-1) if b = a - 1 and
+    0 otherwise.  So the table r[g, d] is the Kronecker product of one
+    (e + 1) x (e + 1) table per prime power, its rows and columns then put
+    in ascending order.  The d-sum is accumulated along ascending d, one
+    term after another, the order the scalar polynomial uses.  Every reduced
+    residue takes the first value, the class g = 1.
     """
     if X < 1 or q < 2:
         raise InvalidRange(f"need X >= 1 and q >= 2, got {X}, {q}")
     T = math.log(X)
-    divs, mu, phi = _divisor_table(q)
-    h = np.gcd(divs[:, None], divs[None, :])  # [class g, divisor d]
-    quot = np.searchsorted(divs, divs[None, :] // h)
-    r = mu[quot] * (phi[None, :] // phi[quot])
-    M = np.zeros(len(divs))
-    for j, d in enumerate(divs.tolist()):
-        M += r[:, j] / d * (T - 2 * math.log(d) + 2 * EULER_GAMMA - 1)
+    divs = np.ones(1, dtype=np.int64)
+    r = np.ones((1, 1), dtype=np.int64)
+    for p, e in factorize(q):
+        c = np.zeros((e + 1, e + 1), dtype=np.int64)  # c[b, a] = c_{p^a}(p^b)
+        c[:, 0] = 1
+        for a in range(1, e + 1):
+            c[a:, a] = p**a - p ** (a - 1)
+            c[a - 1, a] = -(p ** (a - 1))
+        divs = np.multiply.outer(divs, [p**a for a in range(e + 1)]).ravel()
+        r = (r[:, None, :, None] * c[None, :, None, :]).reshape(len(divs), len(divs))  # kron(r, c)
+    order = np.argsort(divs)
+    divs, r = divs[order], r[np.ix_(order, order)]
+    weight = np.array([T - 2 * math.log(d) + 2 * EULER_GAMMA - 1 for d in divs.tolist()])
+    terms = r / divs
+    terms *= weight
+    M = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
     return divs, X / q * M
 
 

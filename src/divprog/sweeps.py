@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from .arith import is_prime, reduced_residues
+from .arith import euler_phi, is_prime, units_by_rank
 from .errors import ConfigInvalid
 from .mainterm import (
     error_set,
@@ -263,7 +263,7 @@ def _json_dumps(doc) -> str:
 
 def _row_sets(cfg: ExperimentConfig, q: int, rng: np.random.Generator) -> list[tuple]:
     """(B, residues, dropped, descriptor) of every row at modulus q, in row order."""
-    units = reduced_residues(q) if cfg.set_kind == "random" else None
+    phi = euler_phi(q) if cfg.set_kind == "random" else None
     sets = []
     for spec in cfg.lengths:
         A_req = _resolve_length(spec, q)
@@ -272,8 +272,10 @@ def _row_sets(cfg: ExperimentConfig, q: int, rng: np.random.Generator) -> list[t
                 residues, dropped = interval_residues(q, B, A_req)
                 descriptor = f"interval({B},{A_req})"
             else:
-                size = min(A_req, len(units))
-                residues = sorted(int(a) for a in rng.choice(units, size=size, replace=False))
+                size = min(A_req, phi)
+                # the same draw as choosing from the unit list, which is never built
+                ranks = rng.choice(phi, size=size, replace=False)
+                residues = sorted(units_by_rank(q, ranks).tolist())
                 dropped = 0
                 descriptor = f"random({size})"
             sets.append((B, residues, dropped, descriptor))

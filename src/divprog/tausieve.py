@@ -11,11 +11,17 @@ S(X; a, q) = sum of tau(n) over n <= X, n = a mod q comes in four exact
 routes that the tests play against each other:
 
   * naive: tau(2^k m) = (k + 1) tau(m) for odd m, so only odd m <= X are
-    sieved, in cache-sized segments of the index i = (m - 1) / 2, walking
-    odd divisors only; a segment's start offsets for all its divisors are
-    computed as one array.  Column sums of tau by i mod q / gcd(2, q) run
-    along; each time the sieve passes X >> k (k = floor(log2 X) down to 0)
-    they are folded, times k + 1, into the residues 2^k m mod q,
+    sieved, in cache-sized segments of the index i = (m - 1) / 2.  The odd
+    divisors d <= 15 are laid down as one precomputed wheel of period
+    45045 = lcm(1, 3, ..., 15) in the index, the larger odd d walked one
+    strided add each, their start offsets computed as one array.  Column
+    sums of tau by i mod q / gcd(2, q) run along; each time the sieve passes
+    X >> k (k = floor(log2 X) down to 0) band k is added, times k + 1, at
+    the residues 2^k m mod q.  With q = 2^v q_o, q_o odd, a band k < v is
+    one strided add to the residues 2^k (2j + 1); the bands k >= v land on
+    the multiples of 2^v and are summed mod q_o by Horner's rule over the
+    doubling map u -> 2u mod q_o (a copy and two strided adds per band),
+    then added once.  No residue is multiplied or reduced,
   * hyperbola: count lattice points dm <= X with dm = a mod q per residue
     class in O(sqrt(X) * q) without materializing tau, taking the d in
     blocks of about _HYPERBOLA_BLOCK / q with one bincount per block,
@@ -52,8 +58,8 @@ from .errors import ConfigInvalid, InvalidModulus, InvalidRange, WindowTooLarge
 _MEMORY_BUDGET = 2 * 2**30  # bytes a sieve window or a naive-route sum vector may take
 _WINDOW_CAP = 2**40  # windows must sit below this
 _SEGMENT = 1 << 19  # odd entries per naive-route segment (1 MiB of uint16)
-_FOLD_BLOCK = 1 << 14  # residues per naive-route fold step (128 KiB per int64 temporary)
-_FOLD_Q_MAX = math.isqrt(2**63 - 1)  # naive-route fold and set-route products stay in int64
+_FOLD_Q_MAX = math.isqrt(2**63 - 1)  # set-route products a dbar stay in int64
+_WHEEL = 45045  # lcm(1, 3, ..., 15): the odd d <= 15 repeat with this period in the index
 _COLUMN_WIDTH = 1024  # column sums run over rows of about this many entries
 _HYPERBOLA_BLOCK = 1 << 13  # (d, residue) entries per hyperbola step (64 KiB per int64 temporary)
 _SET_BLOCK = 1 << 14  # (residue, d) entries per set-route step (128 KiB per int64 temporary)
@@ -133,55 +139,63 @@ def _add_columns(cols: np.ndarray, values: np.ndarray, start: int) -> None:
     for width in (P * max(1, _COLUMN_WIDTH // P), P):
         full = len(rest) - len(rest) % width
         if full:
-            wide = rest[:full].reshape(-1, width).sum(axis=0, dtype=np.int64)
-            cols += wide.reshape(-1, P).sum(axis=0)
+            rows = rest[:full].reshape(-1, width)
+            wide = rows[0] if len(rows) == 1 else rows.sum(axis=0, dtype=np.int64)
+            cols += wide.reshape(-1, P).sum(axis=0, dtype=np.int64) if width > P else wide
             rest = rest[full:]
     cols[: len(rest)] += rest
+
+
+def _wheel() -> tuple[np.ndarray, np.ndarray]:
+    """The odd d <= 15 over one period of the index, and what it overcounts at m <= 225.
+
+    pattern[i] = 2 #{odd d <= 15 : d | 2i + 1}.  The walk counts a pair d < e
+    by its smaller member and a square once.  Past m = 225 every d <= 15
+    has a cofactor above d, so the pattern is exact there; at m = d e <= 225
+    with odd e <= d it counts 2 (e < d, e's pair) or 1 (e = d, the square)
+    too many, and fix holds that excess by index.
+    """
+    pattern = np.zeros(_WHEEL, dtype=np.uint16)
+    fix = np.zeros(113, dtype=np.uint16)  # the odd m <= 225
+    for d in range(1, 16, 2):
+        pattern[(d - 1) // 2 :: d] += 2
+        e = np.arange(1, d + 1, 2)
+        fix[(d * e - 1) // 2] += np.where(e < d, 2, 1).astype(np.uint16)
+    return pattern, fix
+
+
+_WHEEL_PATTERN, _WHEEL_FIX = _wheel()
 
 
 def _sieve_odd(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """tau(m) at the odd m = 2i + 1 for lo <= i < hi, written into buf[: hi - lo]."""
     n = hi - lo
     tau = buf[:n]
-    tau.fill(0)
+    # the odd d <= 15: tau[t] = pattern[(lo + t) % _WHEEL], then the fix
+    o = lo % _WHEEL
+    head = min(n, _WHEEL - o)
+    tau[:head] = _WHEEL_PATTERN[o : o + head]
+    rest = tau[head:]
+    full = len(rest) - len(rest) % _WHEEL
+    rest[:full].reshape(-1, _WHEEL)[:] = _WHEEL_PATTERN
+    rest[full:] = _WHEEL_PATTERN[: len(rest) - full]
+    if lo < len(_WHEEL_FIX):
+        t = min(n, len(_WHEEL_FIX) - lo)
+        tau[:t] -= _WHEEL_FIX[lo : lo + t]
     m_lo, m_hi = 2 * lo + 1, 2 * hi - 1
-    # for every odd d <= sqrt(m_hi) at once: the least odd cofactor e > d
-    # with d*e >= m_lo, and its index; odd multiples of d sit 2d apart, which
-    # is d apart in the index i.  Products stay below 2^42 in int64.
-    d = np.arange(1, math.isqrt(m_hi) + 1, 2, dtype=np.int64)
+    # for every odd d in [17, sqrt(m_hi)] at once: the least odd cofactor
+    # e > d with d*e >= m_lo, and its index; odd multiples of d sit 2d apart,
+    # which is d apart in the index i.  Products stay below 2^42 in int64.
+    d = np.arange(17, math.isqrt(m_hi) + 1, 2, dtype=np.int64)
     e = -(-np.maximum(m_lo, d * (d + 2)) // d) | 1
     first = (d * e - 1) // 2 - lo
     hit = first < n
     two = np.uint16(2)  # a numpy scalar: no Python-int conversion per strided add
     for f, step in zip(first[hit].tolist(), d[hit].tolist()):
         tau[f::step] += two
-    e = np.arange(math.isqrt(m_lo - 1) + 1 | 1, math.isqrt(m_hi) + 1, 2, dtype=np.int64)
+    e = np.arange(max(17, math.isqrt(m_lo - 1) + 1 | 1), math.isqrt(m_hi) + 1, 2, dtype=np.int64)
     tau[(e * e - 1) // 2 - lo] += 1
     return tau
-
-
-def _fold_band(S: np.ndarray, cols: np.ndarray, k: int) -> None:
-    """S[2^k (2j + 1) mod q] += (k + 1) * cols[j], over the j < len(cols).
-
-    With g = gcd(2^k, q) and q_g = q / g, the residue is g * (c (2j + 1) mod q_g)
-    for the unit c = 2^k / g mod q_g, and it depends on j only mod
-    P_g = q_g / gcd(2, q_g), on which it is injective.  So cols is first summed
-    by j mod P_g and then added at distinct positions.
-    """
-    q = len(S)
-    g = math.gcd(1 << k, q)
-    qg = q // g
-    Pg = qg // math.gcd(2, qg)
-    if len(cols) > Pg:
-        w = np.zeros(Pg, dtype=np.int64)
-        _add_columns(w, cols, 0)
-    else:
-        w = cols
-    c = pow(2, k, q) // g  # 2^k mod q = g * (c mod q_g)
-    for j0 in range(0, len(w), _FOLD_BLOCK):
-        block = w[j0 : j0 + _FOLD_BLOCK]
-        u = np.arange(2 * j0 + 1, 2 * (j0 + len(block)), 2, dtype=np.int64) % qg
-        S[g * (c * u % qg)] += (k + 1) * block
 
 
 def _progressions_naive(X: int, q: int) -> np.ndarray:
@@ -189,18 +203,27 @@ def _progressions_naive(X: int, q: int) -> np.ndarray:
     # over odd m <= X >> k with 2^k m = a mod q.  Sieve tau over the odd
     # m = 2i + 1 only, in increasing order, and keep cols[j], the sum of tau(m)
     # over the i = j mod P seen so far (m mod q depends only on i mod P).  Once
-    # every odd m <= X >> k is in, fold (k + 1) cols into S; the bands
+    # every odd m <= X >> k is in, add band k, (k + 1) cols, to S; the bands
     # (X >> (k+1), X >> k] are crossed for k = floor(log2 X) down to 0.
-    # Exactness: S and cols are int64, and every partial sum is below
-    # sum_{n<=X} tau(n) < 2^45 for X < 2^40.  The fold multiplies a residue
-    # below q by 2^k mod q (taken with pow), so its products stay below
-    # q^2 < 2^63 for q <= _FOLD_Q_MAX (about 3e9, whose int64 sums alone
-    # take 24 GB); larger q are refused.
-    if 8 * q > _MEMORY_BUDGET or q > _FOLD_Q_MAX:
+    # With q = 2^v q_o, band k < v lands on the residues 2^k (2j + 1), j < L =
+    # q / 2^(k+1), at m = 2j + 1 mod 2L, i.e. i = j mod L.  Band k >= v lands
+    # on 2^v (2^(k-v) m mod q_o): with c_k[u] the cols summed by m = u mod q_o
+    # and D the doubling map, (D c)[2u mod q_o] = c[u], its share of
+    # S[:: 2^v] is (k + 1) D^(k-v) c_k, so h = D h + (k + 1) c_k over the
+    # bands k >= v in the order they finish leaves that sum in h.
+    # Exactness: S, cols, h and every band are int64 sums of tau values, each
+    # below sum_{n<=X} tau(n) < 2^45 for X < 2^40; no residue is multiplied.
+    if 8 * q > _MEMORY_BUDGET:
         raise WindowTooLarge(f"q = {q} needs {8 * q} bytes of sums; the budget is {_MEMORY_BUDGET}")
-    P = q // math.gcd(2, q)
+    v = (q & -q).bit_length() - 1
+    qo = q >> v
+    P = q >> min(v, 1)
     S = np.zeros(q, dtype=np.int64)
     cols = np.zeros(P, dtype=np.int64)
+    # h by u mod q_o: S itself for odd q, else its own array (S[:: 2^v] would miss cache)
+    h = S if v == 0 else np.zeros(qo, dtype=np.int64)
+    spare = np.empty(qo, dtype=np.int64)  # h before its doubling
+    w = np.empty(max(qo, P >> 1), dtype=np.int64)  # one band's column sums
     n_odd = (X + 1) // 2
     # tau(n) <= 6720 for n < 2^40, so uint16 holds every tau value
     buf = np.empty(min(_SEGMENT, _MEMORY_BUDGET // 2, n_odd), dtype=np.uint16)
@@ -212,7 +235,23 @@ def _progressions_naive(X: int, q: int) -> np.ndarray:
         # band k ends once the odd m <= X >> k are in
         while k >= 0 and (end := ((X >> k) + 1) // 2) <= hi:
             _add_columns(cols, tau[done - lo : end - lo], done)
-            _fold_band(S, cols[: min(P, end)], k)
+            seen = cols[: min(P, end)]
+            if k == 0 < v:  # band 0 on the odd residues is cols itself
+                S[1::2] += seen
+            else:
+                band = w[: qo if k >= v else P >> k]
+                band.fill(0)
+                _add_columns(band, seen, 0)
+                band *= k + 1
+                if k < v:
+                    S[1 << k :: 2 << k] += band
+                else:  # (D h)[2u] = h[u]; band[j] holds m = 2j + 1 mod q_o, odd u first
+                    spare[:] = h
+                    half = (qo + 1) // 2
+                    np.add(spare[:half], band[qo // 2 :], out=h[0::2])
+                    np.add(spare[half:], band[: qo // 2], out=h[1::2])
+                    if k == v > 0:
+                        S[:: 1 << v] += h
             done, k = end, k - 1
         _add_columns(cols, tau[done - lo :], done)
     return S
@@ -240,11 +279,13 @@ def _progressions_hyperbola(X: int, q: int) -> np.ndarray:
 def _hyperbola_max_q(X: int) -> int:
     """Largest q for which method="auto" takes the hyperbola route."""
     # Fitted costs on 2 cores with numpy 2.4: hyperbola fills isqrt(X) q
-    # (d, residue) entries at about 1.3e-8 s each, in blocks of
+    # (d, residue) entries at about 1.1-1.3e-8 s each, in blocks of
     # _HYPERBOLA_BLOCK entries, so below q = 2^13 there is no per-d overhead;
-    # naive costs 4.5-9.6 ns per n <= X, the per-divisor loop growing with
-    # isqrt(X).  The two took equal time at q near 570 (X = 4e6), 1020 (1e7),
-    # 2350 (3e7) and 7200 (1e8), each the mean of two linear fits in q.
+    # naive costs 2.5-5 ns per n <= X, the per-divisor loop growing with
+    # isqrt(X).  From medians of five alternating runs at five primes q
+    # between half and twice this bound, and a linear fit in q for each
+    # route, the two took equal time at q near 460-490 (X = 4e6), 820-850
+    # (1e7) and 1750-1910 (3e7): the bound errs by at most 1.35x in q.
     return X // 14500 + 300
 
 
@@ -274,14 +315,15 @@ def divisor_sum_progressions(X: int, q: int, method: str = "auto") -> Progressio
 
 def _pairs_max_residues(X: int, q: int) -> int:
     """Most distinct residues for which progression_sums_set counts pairs."""
-    # Fitted on 2 cores with numpy 2.4: the pairs cost 9-13 ns per
-    # (residue, d) pair, d <= isqrt(X), over a fixed 0.3-1 ms.  A vector
-    # costs 16-19 ns per hyperbola entry (isqrt(X) q of them, more than the
-    # pairs of any A < q) and 4-12 ns per n <= X on the naive route.  With
-    # naive the two took equal time near A = 330 at (1e5, 2153), 560 at
-    # (1e6, 9973) and 2300 at (1e7, 46411), against bounds 221, 700 and 2213.
-    # Only d prime to q make pairs, so for q with small prime factors the
-    # bound is low: at (1e7, 720720) pairs took 30 ms against 110 ms at
+    # Fitted on 2 cores with numpy 2.4: the pairs cost 7-13 ns per
+    # (residue, d) pair, d <= isqrt(X).  A vector costs 11-13 ns per
+    # hyperbola entry (isqrt(X) q of them, more than the pairs of any A < q)
+    # and 3-9 ns per n <= X on the naive route.  With naive the two took
+    # equal time near A = 170-230 at (1e5, 2153), 345-400 at (1e6, 9973) and
+    # 1620-1810 at (1e7, 46411), against bounds 221, 700 and 2213 (medians
+    # of 9-25 alternating runs, pairs fitted linearly in A).  Only d prime
+    # to q make pairs, so for q with small prime factors the bound is low:
+    # at (1e7, 720720) pairs took 23 ms against 49 ms for the vector at
     # A = 4426.
     if q <= _hyperbola_max_q(X):
         return q

@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divprog.arith import (
+    count_units,
     divisors,
     euler_phi,
     factorize,
@@ -17,8 +19,9 @@ from divprog.arith import (
     reduced_mod,
     reduced_residues,
     tau_of,
+    units_by_rank,
 )
-from divprog.errors import InvalidModulus, NonReducedResidue, NotInvertible, NotPrime
+from divprog.errors import InvalidModulus, InvalidRange, NonReducedResidue, NotInvertible, NotPrime
 
 
 # ---------------------------------------------------------------- inverses
@@ -190,3 +193,31 @@ def test_reduced_residues_against_gcd_filter():
         assert got.dtype.name == "int64"
         assert got.tolist() == [a for a in range(d) if math.gcd(a, d) == 1], d
         assert len(got) == euler_phi(d), d
+
+
+def test_units_by_rank_against_the_unit_list():
+    rng = np.random.default_rng(11)
+    for q in (1, 2, 97, 30030, 720720):
+        units = reduced_residues(q)
+        ranks = np.arange(len(units)) if len(units) <= 6000 else np.concatenate(
+            [[0, 1, len(units) - 1], rng.choice(len(units), 3000, replace=False)])
+        assert np.array_equal(units_by_rank(q, ranks), units[ranks]), q
+        assert count_units(q, q - 1) == euler_phi(q), q
+    assert units_by_rank(12, []).tolist() == []
+    for bad in ([-1], [4]):
+        with pytest.raises(InvalidRange):
+            units_by_rank(12, bad)
+
+
+def test_units_by_rank_past_the_unit_list():
+    # 99999990 = 2 * 3^2 * 5 * 239 * 4649 has 26549376 units, a list of 212 MB
+    q = 99999990
+    phi = euler_phi(q)
+    assert count_units(q, q - 1) == phi
+    ranks = np.sort(np.random.default_rng(3).choice(phi, 2000, replace=False))
+    ranks = np.concatenate([[0, 1], ranks, [phi - 2, phi - 1]])
+    units = units_by_rank(q, ranks)
+    assert np.all(np.gcd(units, q) == 1)
+    assert np.all(np.diff(units) > 0)
+    assert units[:2].tolist() == [1, 7] and units[-2:].tolist() == [q - 7, q - 1]
+    assert np.array_equal(count_units(q, units), ranks + 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from divprog import mainterm, tausieve
-from divprog.arith import divisors, euler_phi, ramanujan_sum, reduced_residues
+from divprog.arith import divisors, euler_phi, factorize, ramanujan_sum, reduced_residues
 from divprog.errors import InvalidRange, NonReducedResidue, NotPrime
 from divprog.mainterm import (
     EULER_GAMMA,
@@ -19,6 +19,7 @@ from divprog.mainterm import (
     main_term,
     main_term_coprime,
     main_term_vector,
+    reduced_main_term,
 )
 from divprog.tausieve import total_divisor_sum
 
@@ -88,11 +89,26 @@ def test_main_term_vector_matches_scalar():
         assert abs(vec[a] - main_term(X, q, a)) < 1e-9, (X, q, a)
 
 
+def _divisor_table(q):
+    """Sorted divisors d of q with mu(d) and phi(d), from one factorization."""
+    rows = [(1, 1, 1)]
+    for p, e in factorize(q):
+        rows = [
+            (d * p**k, mu * (1 if k == 0 else -1 if k == 1 else 0),
+             phi * ((p - 1) * p ** (k - 1) if k else 1))
+            for d, mu, phi in rows
+            for k in range(e + 1)
+        ]
+    divs, mu, phi = np.array(sorted(rows), dtype=np.int64).T
+    return divs, mu, phi
+
+
 def _main_term_vector_by_gather(X, q):
     # the class gather main_term_vector replaced: the class of each residue is
-    # found by gcd and searchsorted, then the per-class values are gathered
+    # found by gcd and searchsorted, then the per-class values are gathered;
+    # r_d(g) = mu(d/h) phi(d) / phi(d/h) with h = gcd(g, d)
     T = math.log(X)
-    divs, mu, phi = mainterm._divisor_table(q)
+    divs, mu, phi = _divisor_table(q)
     h = np.gcd(divs[:, None], divs[None, :])
     quot = np.searchsorted(divs, divs[None, :] // h)
     r = mu[quot] * (phi[None, :] // phi[quot])
@@ -105,12 +121,14 @@ def _main_term_vector_by_gather(X, q):
 
 def test_main_term_vector_classes_by_divisor_strides():
     X = 10**4
-    for q in (2, 4, 2**10, 3**6, 30030, 46411, 720720):
+    for q in (2, 4, 2**10, 3**6, 30030, 46411, 720720, 2**5 * 3**3 * 7**2,
+              3 * 5 * 7 * 11 * 13 * 17):
         vec = main_term_vector(X, q)
         assert vec.dtype == np.float64 and vec.shape == (q,)
         # one value per class gcd(a, q), read at the residue gcd(a, q) mod q
         assert np.array_equal(vec, vec[np.gcd(np.arange(q), q) % q]), q
         assert vec.tobytes() == _main_term_vector_by_gather(X, q).tobytes(), q
+        assert np.float64(reduced_main_term(X, q)).tobytes() == vec[1].tobytes(), q
 
 
 def test_error_record_is_definitional():

@@ -181,9 +181,8 @@ def test_naive_tiny_x():
 
 
 def test_naive_odd_segment_and_fold_block_edges(monkeypatch):
-    # 64 odd entries per segment end segments at m = 128 j; fold blocks of 16
+    # 64 odd entries per segment end segments at m = 128 j
     monkeypatch.setattr(tausieve, "_SEGMENT", 64)
-    monkeypatch.setattr(tausieve, "_FOLD_BLOCK", 16)
     for j in (1, 2, 5, 16):
         for X in (128 * j - 2, 128 * j - 1, 128 * j, 128 * j + 1, 128 * j + 2):
             for q in (1, 2, 3, 4, 7, 16, 48, 63, 64, 65, 100, 128, 200):
@@ -261,6 +260,43 @@ def test_sieve_odd_matches_divisor_walk():
         tau = tausieve._sieve_odd(buf, lo, lo + n)
         ref = sieve_tau(2 * lo + 1, 2 * n - 1).values[::2]
         assert np.array_equal(tau, ref), lo
+
+
+def test_sieve_odd_wheel_fix_and_period_edges():
+    # windows that start inside the fix for the odd m <= 225 (i < 113) or
+    # cross a period of the 45045-entry wheel
+    buf = np.empty(300, dtype=np.uint16)
+    for lo in (0, 1, 7, 56, 111, 112, 113, 45045 - 3, 2 * 45045 - 1, 7 * 45045 + 100):
+        for n in (1, 2, 50, 113, 300):
+            tau = tausieve._sieve_odd(buf, lo, lo + n)
+            assert np.array_equal(tau, sieve_tau(2 * lo + 1, 2 * n - 1).values[::2]), (lo, n)
+
+
+def test_naive_segments_shorter_than_the_wheel_fix(monkeypatch):
+    # 50 odd entries per segment: the fix spans three segments, and a wheel
+    # period of 45045 entries spans many
+    monkeypatch.setattr(tausieve, "_SEGMENT", 50)
+    for X in (99, 100, 225, 226, 227, 451, 90089, 90090, 90091, 180181):
+        tau = sieve_tau(1, X).values
+        for q in (1, 2, 3, 16, 97, 720, 45045):
+            if q <= X:
+                ref = np.bincount(np.arange(1, X + 1) % q, weights=tau, minlength=q)
+                naive = divisor_sum_progressions(X, q, method="naive").sums
+                assert np.array_equal(naive, ref), (X, q)
+
+
+def test_naive_two_adic_bands_mid_segment(monkeypatch):
+    # q = 2^v u: bands k < v are strided adds, the rest run through the
+    # doubling map mod u; with 64-entry segments the band ends of X fall
+    # inside segments
+    monkeypatch.setattr(tausieve, "_SEGMENT", 64)
+    for X in (30011, 2**15 + 1000):
+        for v in range(9):
+            for u in (1, 3, 15, 105):
+                _assert_naive_route_right(X, 2**v * u)
+    monkeypatch.undo()
+    for v in range(16):
+        _assert_naive_route_right(40009, 2**v)
 
 
 def test_set_route_against_both_vector_routes_across_auto_boundary(monkeypatch):
