@@ -12,12 +12,13 @@ Chebyshev interpolant in the middle, and its large-argument expansion
 past x = 17.  The interpolants keep the leading 32 coefficients of
 degree 47, frozen from demos/generate_bessel_table.py (mpmath, 40-digit
 working precision), every dropped coefficient below 3e-18 of the
-function.  The large-argument expansions, with mu = 4 nu^2 and
-a_k(nu) = (mu - 1)(mu - 9)..(mu - (2k-1)^2) / (k! 8^k), are summed in
-bands of x (17, 25, 50, 100, 200, ...), each band summing the terms its
-lower end needs for the next one to fall under 1e-17 (32 at x = 17, 10 at
-x = 100): safely inside the decreasing range of the divergent series
-(first neglected term < 2e-15 of the envelope at x = 17).
+function.  The large-argument expansions are summed in bands of x, each
+band summing the terms its lower end needs for the next one to fall
+under 1e-17, or, where the divergent series never gets that small (Y at
+x = 17), up to its smallest term.  With mu = 4 nu^2 and
+a_k(nu) = (mu - 1)(mu - 9)..(mu - (2k-1)^2) / (k! 8^k), the K bands are
+(17, 25, 50, 100, 200, ...) (32 terms at x = 17, 10 at x = 100; first
+neglected term < 2e-15 of the function at x = 17).
 
 K0, K1 (positive, monotone decreasing):
   * x <= 2: ascending series (DLMF 10.31.2, 10.31.1)
@@ -39,10 +40,22 @@ Y0, Y1 (oscillatory):
              - (x/(2 pi)) sum_k (H_k + H_(k+1)) (-x^2/4)^k / (k! (k+1)!);
     cancellation grows with x and caps the accuracy near 1e-13 at x = 8;
   * 8 < x <= 17: a Chebyshev interpolant of Y_nu;
-  * x > 17: the large-argument (Hankel) expansion (DLMF 10.17.4)
-        Y_nu = sqrt(2/(pi x)) [sin(w) P(x) + cos(w) Q(x)],
-        w = x - (2 nu + 1) pi/4,
-        P = sum_j (-1)^j a_2j(nu) / x^2j,  Q = sum_j (-1)^j a_(2j+1)(nu) / x^(2j+1).
+  * x > 17: modulus and phase (DLMF 10.18.4), Y_nu = M_nu(x) sin(theta_nu(x)),
+        M_nu^2 = (2/(pi x)) sum_k m_k x^(-2k),
+        m_k = (1.3..(2k-1) / 2.4..(2k)) (mu - 1)(mu - 9)..(mu - (2k-1)^2) / 4^k
+    (DLMF 10.18.17), and, from the Wronskian M_nu^2 theta_nu' = 2/(pi x)
+    (DLMF 10.18.8),
+        theta_nu = x - (2 nu + 1) pi/4 - sum_(k>=1) s_k x^(1-2k) / (2k - 1),
+    with sum_k s_k y^k the reciprocal series of sum_k m_k y^k.  Both tables
+    are built at import.  x is reduced mod 2 pi before the shift and the
+    phase series are taken off: k = rint((x - (2 nu + 1) pi/4) / (2 pi)),
+    r = x - k c1 - k c2 - k c3 with c1 + c2 + c3 = 2 pi, c1 = 6.28125 (8
+    bits, so k c1 and its subtraction are exact for k < 2^45) and c2 of 23
+    bits (exact for k < 2^30, x < 6e9); one sine of |theta| < pi + 0.03 per
+    point.  The bands are (17, 25] with 18 terms of M^2 and 18 of the phase
+    series (each series cut at its smallest term, < 5e-16 of the leading
+    one) and (25, inf) with 10 and 10.  Against mpmath the route reads
+    under 1e-15 of the envelope from x = 17 to 1e9.
 
 Relative accuracy at an individual zero of Y_nu is meaningless in
 doubles (the zero's location itself carries rounding); accuracy
@@ -63,7 +76,13 @@ _K_SERIES_TERMS = 20
 _Y_SERIES_TERMS = 32
 _HANKEL_MAX_TERMS = 32
 _HANKEL_TAIL = 1e-17
-_HANKEL_BANDS = (17.0, 25.0, 50.0, 100.0, 200.0, np.inf)
+_HANKEL_BANDS = (17.0, 25.0, 50.0, 100.0, 200.0, np.inf)  # K0, K1 only
+_Y_BANDS = (17.0, 25.0, np.inf)
+# 2 pi = _TWO_PI_1 + _TWO_PI_2 + _TWO_PI_3; the first two carry 8 and 23 significant bits
+_TWO_PI_1 = 6.28125
+_TWO_PI_2 = float.fromhex("0x1.fb5444p-10")
+_TWO_PI_3 = float.fromhex("0x1.68c234c4c6629p-37")
+_INV_2PI = 1.0 / (2.0 * np.pi)
 _K_FLOOR = 700.0  # K0, K1 < 1e-305 beyond; flushed to 0
 
 _HARMONIC = np.cumsum(1.0 / np.arange(1, 64))  # _HARMONIC[k - 1] = H_k
@@ -381,15 +400,6 @@ def _k_asymptotic(x: np.ndarray, coeffs: tuple) -> np.ndarray:
     return np.sqrt(np.pi / 2.0 * inv_x) * np.exp(-x) * _horner(inv_x, coeffs)
 
 
-def _y_hankel(x: np.ndarray, order: int, p_coeffs: tuple, q_coeffs: tuple) -> np.ndarray:
-    inv_x = 1.0 / x
-    y = inv_x * inv_x
-    P = _horner(y, p_coeffs)
-    Q = _horner(y, q_coeffs) * inv_x
-    phase = x - (2 * order + 1) * np.pi / 4.0
-    return np.sqrt(2.0 / np.pi * inv_x) * (np.sin(phase) * P + np.cos(phase) * Q)
-
-
 def _asymptotic_bands(order: int, top: float):
     """(lo, hi, coefficients) per band up to `top`, each with the terms its lower end needs."""
     for lo, hi in zip(_HANKEL_BANDS[:-1], _HANKEL_BANDS[1:]):
@@ -404,16 +414,61 @@ def _routes(pieces: list) -> tuple[np.ndarray, tuple]:
     return np.array([hi for _, hi, _ in pieces[:-1]]), tuple(fn for _, _, fn in pieces)
 
 
+def _modulus_phase_coeffs(order: int) -> tuple[list[float], list[float]]:
+    """m_0 .. m_N of M^2 and s_0 .. s_N of 1/(sum m_k y^k), N = _HANKEL_MAX_TERMS."""
+    mu = 4.0 * order * order
+    m = [1.0]
+    for k in range(1, _HANKEL_MAX_TERMS + 1):
+        m.append(m[-1] * (2 * k - 1) / (2 * k) * (mu - (2 * k - 1) ** 2) / 4.0)
+    s = [1.0]
+    for n in range(1, _HANKEL_MAX_TERMS + 1):
+        s.append(-sum(m[j] * s[n - j] for j in range(1, n + 1)))
+    return m, s
+
+
+def _truncation(magnitudes: list[float]) -> int:
+    """Terms to keep of a series whose term sizes at the band's lower end are given.
+
+    Up to the first term after which the next one falls under _HANKEL_TAIL,
+    or else up to the smallest term, where the divergent series is best cut.
+    """
+    for k in range(1, len(magnitudes)):
+        if magnitudes[k] < _HANKEL_TAIL or magnitudes[k] >= magnitudes[k - 1]:
+            return k
+    return len(magnitudes)
+
+
+def _y_modulus_phase(x: np.ndarray, shift: float, m_coeffs: tuple, h_coeffs: tuple) -> np.ndarray:
+    """M sin(theta), theta = x - shift - sum_k h_k x^-(2k+1), x reduced mod 2 pi first."""
+    inv_x = 1.0 / x
+    y = inv_x * inv_x
+    k = np.rint((x - shift) * _INV_2PI)  # so that |theta| < pi + 0.03
+    theta = x - k * _TWO_PI_1  # exact
+    theta -= k * _TWO_PI_2  # exact for k < 2^30
+    theta -= k * _TWO_PI_3
+    series = _horner(y, h_coeffs)
+    series *= inv_x
+    series += shift
+    theta -= series
+    amplitude = _horner(y, m_coeffs)
+    amplitude *= inv_x
+    amplitude *= 2.0 / np.pi
+    return np.sqrt(amplitude, out=amplitude) * np.sin(theta, out=theta)
+
+
 def _y_routes(order: int, series, tables) -> tuple[np.ndarray, tuple]:
     """Routes of Y_order."""
     pieces = [(0.0, tables[0][0], series)]
     for lo, hi, coeffs in tables:
         pieces.append((lo, hi, functools.partial(_chebyshev, coeffs=coeffs, lo=lo, hi=hi)))
-    for lo, hi, a in _asymptotic_bands(order, np.inf):
-        signs = [(-1) ** (k // 2) for k in range(len(a))]
-        p = tuple(s * c for s, c in zip(signs[0::2], a[0::2]))
-        q = tuple(s * c for s, c in zip(signs[1::2], a[1::2]))
-        pieces.append((lo, hi, functools.partial(_y_hankel, order=order, p_coeffs=p, q_coeffs=q)))
+    m, s = _modulus_phase_coeffs(order)
+    h = [s[k] / (2 * k - 1) for k in range(1, len(s))]  # theta's terms h_(k-1) x^(1-2k)
+    shift = (2 * order + 1) * np.pi / 4.0
+    for lo, hi in zip(_Y_BANDS[:-1], _Y_BANDS[1:]):
+        m_terms = _truncation([abs(c) * lo ** (-2 * k) for k, c in enumerate(m)])
+        h_terms = _truncation([abs(c) * lo ** (-2 * k - 1) for k, c in enumerate(h)])
+        pieces.append((lo, hi, functools.partial(
+            _y_modulus_phase, shift=shift, m_coeffs=tuple(m[:m_terms]), h_coeffs=tuple(h[:h_terms]))))
     return _routes(pieces)
 
 
@@ -432,16 +487,19 @@ def _dispatch(x, routes: tuple[np.ndarray, tuple]) -> np.ndarray | float:
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if arr.size and arr.min() <= 0.0:
+    if not arr.size:
+        return arr.copy()
+    lo, hi = arr.min(), arr.max()
+    if lo <= 0.0:
         raise InvalidRange("kernels are defined for positive arguments only")
     edges, fns = routes
-    route = edges.searchsorted(arr)  # fns[i] serves (edges[i-1], edges[i]]
-    counts = np.bincount(route, minlength=len(fns))
-    if arr.size and counts.max() == arr.size:  # one route serves every argument
-        out = fns[route[0]](arr)
+    first, last = edges.searchsorted((lo, hi))  # fns[i] serves (edges[i-1], edges[i]]
+    if first == last:  # one route serves every argument
+        out = fns[first](arr)
     else:
+        route = edges.searchsorted(arr)
         out = np.empty_like(arr)
-        for i in np.flatnonzero(counts):
+        for i in range(first, last + 1):
             m = route == i
             out[m] = fns[i](arr[m])
     return float(out[0]) if scalar else out

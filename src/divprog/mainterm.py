@@ -79,11 +79,32 @@ def main_term(X: int, q: int, a: int) -> float:
 
 def main_term_coprime(X: int, q: int) -> float:
     """Closed form of M for gcd(a, q) = 1; independent of a."""
-    if X < 1 or q < 2:
-        raise InvalidRange(f"need X >= 1 and q >= 2, got {X}, {q}")
+    _check_main_term_args(X, q)
     phi = euler_phi(q)
     tail = math.fsum(mobius(d) * math.log(d) / d for d in divisors(q))
     return phi / q**2 * X * (math.log(X) + 2 * EULER_GAMMA - 1) - 2 * X / q * tail
+
+
+def _check_main_term_args(X: int, q: int) -> None:
+    if X < 1 or q < 2:
+        raise InvalidRange(f"need X >= 1 and q >= 2, got {X}, {q}")
+
+
+def _divisor_sums(X: int, q: int, divs: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending divisors and X/q sum_d (r_d/d)(log X - 2 log d + 2 gamma - 1) per row of r.
+
+    The columns of r follow divs, in any order; the d-sum is accumulated
+    along ascending d, one term after another, the order the scalar
+    polynomial uses.
+    """
+    T = math.log(X)
+    order = np.argsort(divs)
+    divs, r = divs[order], r[..., order]
+    weight = np.array([T - 2 * math.log(d) + 2 * EULER_GAMMA - 1 for d in divs.tolist()])
+    terms = r / divs
+    terms *= weight
+    M = np.add.accumulate(terms, axis=-1, out=terms)[..., -1]
+    return divs, X / q * M
 
 
 def _class_main_terms(X: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,14 +114,10 @@ def _class_main_terms(X: int, q: int) -> tuple[np.ndarray, np.ndarray]:
     in d: for p^e || q, d = p^a d' and g = p^b g', the factor is
     c_{p^a}(p^b) = 1 if a = 0, phi(p^a) if b >= a, -p^(a-1) if b = a - 1 and
     0 otherwise.  So the table r[g, d] is the Kronecker product of one
-    (e + 1) x (e + 1) table per prime power, its rows and columns then put
-    in ascending order.  The d-sum is accumulated along ascending d, one
-    term after another, the order the scalar polynomial uses.  Every reduced
-    residue takes the first value, the class g = 1.
+    (e + 1) x (e + 1) table per prime power, its rows then put in ascending
+    order.  Every reduced residue takes the first value, the class g = 1.
     """
-    if X < 1 or q < 2:
-        raise InvalidRange(f"need X >= 1 and q >= 2, got {X}, {q}")
-    T = math.log(X)
+    _check_main_term_args(X, q)
     divs = np.ones(1, dtype=np.int64)
     r = np.ones((1, 1), dtype=np.int64)
     for p, e in factorize(q):
@@ -111,13 +128,7 @@ def _class_main_terms(X: int, q: int) -> tuple[np.ndarray, np.ndarray]:
             c[a - 1, a] = -(p ** (a - 1))
         divs = np.multiply.outer(divs, [p**a for a in range(e + 1)]).ravel()
         r = (r[:, None, :, None] * c[None, :, None, :]).reshape(len(divs), len(divs))  # kron(r, c)
-    order = np.argsort(divs)
-    divs, r = divs[order], r[np.ix_(order, order)]
-    weight = np.array([T - 2 * math.log(d) + 2 * EULER_GAMMA - 1 for d in divs.tolist()])
-    terms = r / divs
-    terms *= weight
-    M = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
-    return divs, X / q * M
+    return _divisor_sums(X, q, divs, r[np.argsort(divs)])
 
 
 def main_term_vector(X: int, q: int) -> np.ndarray:
@@ -193,8 +204,16 @@ def reduced_main_term(X: int, q: int) -> float:
 
     The same float as main_term_vector(X, q)[a] for gcd(a, q) = 1, with no
     length-q array (main_term_coprime is the closed form, a separate route).
+    Only the row g = 1 of _class_main_terms' table is built: r_d(1) = mu(d),
+    the Kronecker product of the rows (1, -1, 0, ..) of each p^e || q.
     """
-    return float(_class_main_terms(X, q)[1][0])
+    _check_main_term_args(X, q)
+    divs = np.ones(1, dtype=np.int64)
+    mu = np.ones(1, dtype=np.int64)
+    for p, e in factorize(q):
+        divs = np.multiply.outer(divs, [p**a for a in range(e + 1)]).ravel()
+        mu = np.multiply.outer(mu, [1, -1] + [0] * (e - 1)).ravel()
+    return float(_divisor_sums(X, q, divs, mu)[1])
 
 
 def error_set(X: int, q: int, residues: list[int]) -> np.ndarray:

@@ -218,6 +218,12 @@ def _csv_field(text: str) -> str:
     return text
 
 
+def _csv_value(v: Any) -> str:
+    """One CSV field of a row: a bool, int or float never holds a comma, quote or line break."""
+    text = _format_value(v)
+    return text if isinstance(v, (bool, int, float)) else _csv_field(text)
+
+
 def emit_report(rows: list[dict], fmt: str, path: str | Path, seed: int | None = None) -> str:
     """Write rows deterministically; returns the path written."""
     path = Path(path)
@@ -229,7 +235,7 @@ def emit_report(rows: list[dict], fmt: str, path: str | Path, seed: int | None =
             keys = list(rows[0].keys())
             lines.append(",".join(_csv_field(k) for k in keys))
             for row in rows:
-                lines.append(",".join(_csv_field(_format_value(row[k])) for k in keys))
+                lines.append(",".join(_csv_value(row[k]) for k in keys))
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
         doc: dict[str, Any] = {"rows": rows}

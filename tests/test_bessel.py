@@ -1,11 +1,19 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 
-from divprog.bessel import bessel_k0, bessel_k1, bessel_y0, bessel_y1, y0_envelope
+from divprog.bessel import (
+    _modulus_phase_coeffs,
+    bessel_k0,
+    bessel_k1,
+    bessel_y0,
+    bessel_y1,
+    y0_envelope,
+)
 
 
 def _mp_bessel(fn, order: int, x: float) -> float:
@@ -15,6 +23,8 @@ def _mp_bessel(fn, order: int, x: float) -> float:
 
 # K0, K1: Chebyshev (2, 5] -> (5, 17], then the asymptotic bands
 K_SWITCHOVERS = (5.0, 17.0, 25.0, 50.0, 100.0, 200.0)
+# Y0, Y1: series -> Chebyshev (8, 17] -> modulus-phase bands (17, 25] and (25, inf)
+Y_SWITCHOVERS = (8.0, 17.0, 25.0)
 
 
 def test_spot_values_twenty_digits():
@@ -74,7 +84,7 @@ def test_against_scipy_as_second_oracle():
 
 
 def test_route_switchovers_are_continuous():
-    for cut in (2.0, 8.0, 17.0):
+    for cut in (2.0,) + Y_SWITCHOVERS:
         lo = bessel_y0(cut - 1e-9) if cut > 2 else bessel_k0(cut - 1e-9)
         hi = bessel_y0(cut + 1e-9) if cut > 2 else bessel_k0(cut + 1e-9)
         assert abs(hi - lo) < 1e-8, cut
@@ -154,7 +164,7 @@ def test_order_one_route_switchovers_are_continuous():
     for cut in K_SWITCHOVERS:
         lo, hi = bessel_k1(cut - 1e-9), bessel_k1(cut + 1e-9)
         assert abs(hi - lo) < 1e-8 * lo, cut
-    for cut in (8.0, 17.0):
+    for cut in Y_SWITCHOVERS:
         assert abs(bessel_y1(cut + 1e-9) - bessel_y1(cut - 1e-9)) < 1e-8, cut
 
 
@@ -170,3 +180,63 @@ def test_order_one_vectorized_matches_scalar():
         bessel_k1(0.0)
     with pytest.raises(ValueError):
         bessel_y1(np.array([1.0, -2.0]))
+
+
+# ------------------------------------------------- Y past x = 17: modulus and phase
+
+def test_far_arguments_against_mpmath():
+    # the phase is reduced mod 2 pi exactly, so far arguments keep the
+    # accuracy of small ones
+    xs = np.geomspace(5000.0, 1e6, 60)
+    for order, fn in ((0, bessel_y0), (1, bessel_y1)):
+        got = fn(xs)
+        for x, g in zip(xs, got):
+            want = _mp_bessel(mpmath.bessely, order, float(x))
+            assert abs(g - want) <= 1e-13 * y0_envelope(x), (order, x)
+
+
+def _series_mul(a: list, b: list, n: int) -> list:
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def _series_div(a: list, b: list, n: int) -> list:
+    out = []
+    for k in range(n):
+        out.append((a[k] - sum(out[i] * b[k - i] for i in range(k))) / b[0])
+    return out
+
+
+def _exact_modulus_phase(order: int, n: int) -> tuple[list, list]:
+    """The t^2k coefficients of P^2 + Q^2 and the t^(2k-1) ones of atan(Q/P), t = 1/x.
+
+    P and Q are the two halves of the Hankel expansion (DLMF 10.17.3-4):
+    P = sum_j (-1)^j a_2j t^2j, Q = sum_j (-1)^j a_(2j+1) t^(2j+1).
+    """
+    mu = 4 * order * order
+    size = 2 * n + 2
+    a = [Fraction(1)]
+    for k in range(1, size):
+        a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8 * k))
+    P = [(-1) ** (k // 2) * a[k] if k % 2 == 0 else Fraction(0) for k in range(size)]
+    Q = [(-1) ** (k // 2) * a[k] if k % 2 == 1 else Fraction(0) for k in range(size)]
+    modulus = [p + q for p, q in zip(_series_mul(P, P, size), _series_mul(Q, Q, size))]
+    u = _series_div(Q, P, size)  # odd, u = O(t)
+    u2 = _series_mul(u, u, size)
+    atan = [Fraction(0)] * size
+    power = u
+    for j in range(size // 2):  # atan u = sum_j (-1)^j u^(2j+1) / (2j+1)
+        atan = [c + Fraction((-1) ** j, 2 * j + 1) * p for c, p in zip(atan, power)]
+        power = _series_mul(power, u2, size)
+    return modulus[0:2 * n:2], atan[1:2 * n:2]
+
+
+def test_modulus_phase_tables_against_exact_series():
+    # M^2 = (2/(pi x)) (P^2 + Q^2) and theta = x - (2 nu + 1) pi/4 + atan(Q/P)
+    for order in (0, 1):
+        m, s = _modulus_phase_coeffs(order)
+        m_exact, atan_exact = _exact_modulus_phase(order, 8)
+        for k in range(8):
+            assert math.isclose(m[k], m_exact[k], rel_tol=1e-15), (order, k)
+        for k in range(1, 8):
+            phase = -s[k] / (2 * k - 1)  # theta's coefficient of x^(1-2k)
+            assert math.isclose(phase, atan_exact[k - 1], rel_tol=1e-15), (order, k)

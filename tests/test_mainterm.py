@@ -131,6 +131,14 @@ def test_main_term_vector_classes_by_divisor_strides():
         assert np.float64(reduced_main_term(X, q)).tobytes() == vec[1].tobytes(), q
 
 
+def test_reduced_main_term_is_the_class_table_row_bit_for_bit():
+    # the g = 1 row alone (mu(d) over the divisors) sums like the full table
+    for q in (2, 420, 1009, 720720, 42336, 255255, 223092870):
+        for X in (10**4, 10**7, 12345678901):
+            want = mainterm._class_main_terms(X, q)[1][0]
+            assert np.float64(reduced_main_term(X, q)).tobytes() == want.tobytes(), (q, X)
+
+
 def test_error_record_is_definitional():
     rec = error_term(12345, 37, 5)
     assert rec.S == rec.M + rec.R  # R is literally the float difference
