@@ -7,18 +7,17 @@ below anything the oscillatory quadrature downstream can feel; targets
 are ~1e-12 absolute against the local envelope and 1e-10 relative away
 from zeros.
 
-Every kernel is built the same way: its ascending series near 0, a
-Chebyshev interpolant in the middle, and its large-argument expansion
-past x = 17.  The interpolants keep the leading 32 coefficients of
-degree 47, frozen from demos/generate_bessel_table.py (mpmath, 40-digit
-working precision), every dropped coefficient below 3e-18 of the
-function.  The large-argument expansions are summed in bands of x, each
-band summing the terms its lower end needs for the next one to fall
-under 1e-17, or, where the divergent series never gets that small (Y at
-x = 17), up to its smallest term.  With mu = 4 nu^2 and
-a_k(nu) = (mu - 1)(mu - 9)..(mu - (2k-1)^2) / (k! 8^k), the K bands are
-(17, 25, 50, 100, 200, ...) (32 terms at x = 17, 10 at x = 100; first
-neglected term < 2e-15 of the function at x = 17).
+Every kernel is built the same way, by one builder: its ascending series
+near 0, a Chebyshev interpolant in the middle, and its large-argument
+expansion past x = 17.  The four ascending series are one recurrence in
+(+-x^2/4)^k / (k! (k + nu)!).  The interpolants keep the leading 32
+coefficients of degree 47, frozen from demos/generate_bessel_table.py
+(mpmath, 40-digit working precision), every dropped coefficient below
+3e-18 of the function.  Both large-argument expansions are summed on the
+same bands, (17, 25] and (25, inf), with one truncation rule: each band
+sums the terms its lower end needs for the next one to fall under 1e-17,
+or, where the divergent series never gets that small, up to its smallest
+term.  The library never evaluates K1 past voronoi._K_ARG_CUT = 50.
 
 K0, K1 (positive, monotone decreasing):
   * x <= 2: ascending series (DLMF 10.31.2, 10.31.1)
@@ -29,7 +28,10 @@ K0, K1 (positive, monotone decreasing):
   * 2 < x <= 17: exp(-x) times a Chebyshev interpolant of exp(x) K_nu on
     (2, 5] and on (5, 17];
   * 17 < x <= 700: the large-argument expansion (DLMF 10.40.2)
-        K_nu = sqrt(pi/(2x)) exp(-x) sum_k a_k(nu) / x^k;
+        K_nu = sqrt(pi/(2x)) exp(-x) sum_k a_k(nu) / x^k,
+        a_k(nu) = (mu - 1)(mu - 9)..(mu - (2k-1)^2) / (k! 8^k), mu = 4 nu^2,
+    with 33 terms on (17, 25] (every one built, a_0 .. a_32; the first
+    neglected term is < 2e-15 of the function at x = 17) and 20 on (25, 700];
   * x > 700: below the double-precision floor, flushed to exactly 0.
 
 Y0, Y1 (oscillatory):
@@ -76,8 +78,7 @@ _K_SERIES_TERMS = 20
 _Y_SERIES_TERMS = 32
 _HANKEL_MAX_TERMS = 32
 _HANKEL_TAIL = 1e-17
-_HANKEL_BANDS = (17.0, 25.0, 50.0, 100.0, 200.0, np.inf)  # K0, K1 only
-_Y_BANDS = (17.0, 25.0, np.inf)
+_BANDS = (17.0, 25.0, np.inf)  # of the large-argument expansions; K's capped at _K_FLOOR
 # 2 pi = _TWO_PI_1 + _TWO_PI_2 + _TWO_PI_3; the first two carry 8 and 23 significant bits
 _TWO_PI_1 = 6.28125
 _TWO_PI_2 = float.fromhex("0x1.fb5444p-10")
@@ -302,88 +303,55 @@ _K1_CHEBYSHEV = (  # of exp(x) K1
 )
 
 
-def _k0_series(x: np.ndarray) -> np.ndarray:
-    y = x * x / 4.0
-    i0 = np.ones_like(x)
-    extra = np.zeros_like(x)
+def _ascending(x: np.ndarray, order: int, sign: float, terms: int) -> tuple:
+    """log(x/2) + gamma, sum_k t_k and sum_k h_k t_k over k <= terms.
+
+    t_k = (sign x^2/4)^k / (k! (k + order)!) and h_k = H_k + order H_(k+1):
+    sign = 1 gives I_order's series for K, sign = -1 J_order's for Y.
+    """
+    y = x * x / 4.0 * sign
+    harmonic = _HARMONIC[:-1] + order * _HARMONIC[1:]  # h_k, k >= 1
+    total = np.ones_like(x)
+    weighted = np.full_like(x, float(order))  # h_0 t_0
     term = np.ones_like(x)
-    for k in range(1, _K_SERIES_TERMS + 1):
-        term = term * y / (k * k)
-        i0 += term
-        extra += _HARMONIC[k - 1] * term
-    return -(np.log(x / 2.0) + EULER_GAMMA) * i0 + extra
+    for k in range(1, terms + 1):
+        term = term * y / (k * (k + order))
+        total += term
+        weighted += harmonic[k - 1] * term
+    return np.log(x / 2.0) + EULER_GAMMA, total, weighted
+
+
+def _k0_series(x: np.ndarray) -> np.ndarray:
+    log_term, i0, h = _ascending(x, 0, 1.0, _K_SERIES_TERMS)
+    return -log_term * i0 + h
 
 
 def _k1_series(x: np.ndarray) -> np.ndarray:
-    y = x * x / 4.0
-    i1 = np.ones_like(x)  # I1 = (x/2) i1
-    extra = np.ones_like(x)  # k = 0: H_0 + H_1 = 1
-    term = np.ones_like(x)
-    for k in range(1, _K_SERIES_TERMS + 1):
-        term = term * y / (k * (k + 1))
-        i1 += term
-        extra += (_HARMONIC[k - 1] + _HARMONIC[k]) * term
+    log_term, i1, h = _ascending(x, 1, 1.0, _K_SERIES_TERMS)  # I1 = (x/2) i1
     half = x / 2.0
-    return 1.0 / x + (np.log(half) + EULER_GAMMA) * half * i1 - half / 2.0 * extra
+    return 1.0 / x + log_term * half * i1 - half / 2.0 * h
 
 
 def _y0_series(x: np.ndarray) -> np.ndarray:
-    y = x * x / 4.0
-    j0 = np.ones_like(x)
-    extra = np.zeros_like(x)
-    term = np.ones_like(x)
-    sign = 1.0
-    for k in range(1, _Y_SERIES_TERMS + 1):
-        term = term * y / (k * k)
-        sign = -sign
-        j0 += sign * term
-        extra += -sign * _HARMONIC[k - 1] * term
-    return 2.0 / np.pi * ((np.log(x / 2.0) + EULER_GAMMA) * j0 + extra)
+    log_term, j0, h = _ascending(x, 0, -1.0, _Y_SERIES_TERMS)
+    return 2.0 / np.pi * (log_term * j0 - h)
 
 
 def _y1_series(x: np.ndarray) -> np.ndarray:
-    y = x * x / 4.0
-    j1 = np.ones_like(x)  # J1 = (x/2) j1
-    extra = np.ones_like(x)  # k = 0: H_0 + H_1 = 1
-    term = np.ones_like(x)
-    for k in range(1, _Y_SERIES_TERMS + 1):
-        term = term * -y / (k * (k + 1))
-        j1 += term
-        extra += (_HARMONIC[k - 1] + _HARMONIC[k]) * term
+    log_term, j1, h = _ascending(x, 1, -1.0, _Y_SERIES_TERMS)  # J1 = (x/2) j1
     half = x / 2.0
-    return (-1.0 / half + 2.0 * (np.log(half) + EULER_GAMMA) * half * j1 - half * extra) / np.pi
+    return (-1.0 / half + 2.0 * log_term * half * j1 - half * h) / np.pi
 
 
-def _chebyshev(x: np.ndarray, coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _chebyshev(x: np.ndarray, coeffs: np.ndarray, lo: float, hi: float, scaled: bool) -> np.ndarray:
+    """The interpolant on (lo, hi]; times exp(-x) if scaled (the tables of exp(x) K)."""
     t = (2.0 * x - (lo + hi)) / (hi - lo)
     b1 = np.zeros_like(x)
     b2 = np.zeros_like(x)
     for c in coeffs[:0:-1]:
         b1, b2 = c + 2.0 * t * b1 - b2, b1
-    return coeffs[0] + t * b1 - b2
-
-
-def _k_chebyshev(x: np.ndarray, coeffs: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    return np.exp(-x) * _chebyshev(x, coeffs, lo, hi)
-
-
-def _hankel_terms(mu: float, x_min: float) -> int:
-    """Terms the expansion needs on arguments x >= x_min."""
-    c = 1.0
-    for k in range(1, _HANKEL_MAX_TERMS + 1):
-        c *= abs(mu - (2 * k - 1) ** 2) / (8.0 * k * x_min)
-        if c < _HANKEL_TAIL:
-            return k
-    return _HANKEL_MAX_TERMS
-
-
-def _asymptotic_coeffs(order: int, terms: int) -> list[float]:
-    """a_0(nu) .. a_terms(nu) for nu = order."""
-    mu = 4.0 * order * order
-    out = [1.0]
-    for k in range(1, terms + 1):
-        out.append(out[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
-    return out
+    out = coeffs[0] + t * b1 - b2
+    return np.exp(-x) * out if scaled else out
 
 
 def _horner(y: np.ndarray, coeffs) -> np.ndarray:
@@ -400,20 +368,6 @@ def _k_asymptotic(x: np.ndarray, coeffs: tuple) -> np.ndarray:
     return np.sqrt(np.pi / 2.0 * inv_x) * np.exp(-x) * _horner(inv_x, coeffs)
 
 
-def _asymptotic_bands(order: int, top: float):
-    """(lo, hi, coefficients) per band up to `top`, each with the terms its lower end needs."""
-    for lo, hi in zip(_HANKEL_BANDS[:-1], _HANKEL_BANDS[1:]):
-        if lo >= top:
-            return
-        terms = _hankel_terms(4.0 * order * order, lo)
-        yield lo, min(hi, top), _asymptotic_coeffs(order, terms)
-
-
-def _routes(pieces: list) -> tuple[np.ndarray, tuple]:
-    """The upper ends of consecutive pieces (lo, hi, fn) tiling (0, inf), and their fns."""
-    return np.array([hi for _, hi, _ in pieces[:-1]]), tuple(fn for _, _, fn in pieces)
-
-
 def _modulus_phase_coeffs(order: int) -> tuple[list[float], list[float]]:
     """m_0 .. m_N of M^2 and s_0 .. s_N of 1/(sum m_k y^k), N = _HANKEL_MAX_TERMS."""
     mu = 4.0 * order * order
@@ -426,16 +380,18 @@ def _modulus_phase_coeffs(order: int) -> tuple[list[float], list[float]]:
     return m, s
 
 
-def _truncation(magnitudes: list[float]) -> int:
-    """Terms to keep of a series whose term sizes at the band's lower end are given.
+def _truncation(coeffs: list[float], lo: float, step: int, first: int) -> tuple:
+    """The terms to keep of sum_k coeffs[k] x^-(step k + first) on x > lo.
 
-    Up to the first term after which the next one falls under _HANKEL_TAIL,
-    or else up to the smallest term, where the divergent series is best cut.
+    Up to the first term after which the next one falls under _HANKEL_TAIL
+    at x = lo, or else up to the smallest term, where the divergent series
+    is best cut.
     """
-    for k in range(1, len(magnitudes)):
-        if magnitudes[k] < _HANKEL_TAIL or magnitudes[k] >= magnitudes[k - 1]:
-            return k
-    return len(magnitudes)
+    sizes = [abs(c) * lo ** -(step * k + first) for k, c in enumerate(coeffs)]
+    for k in range(1, len(sizes)):
+        if sizes[k] < _HANKEL_TAIL or sizes[k] >= sizes[k - 1]:
+            return tuple(coeffs[:k])
+    return tuple(coeffs)
 
 
 def _y_modulus_phase(x: np.ndarray, shift: float, m_coeffs: tuple, h_coeffs: tuple) -> np.ndarray:
@@ -456,31 +412,37 @@ def _y_modulus_phase(x: np.ndarray, shift: float, m_coeffs: tuple, h_coeffs: tup
     return np.sqrt(amplitude, out=amplitude) * np.sin(theta, out=theta)
 
 
-def _y_routes(order: int, series, tables) -> tuple[np.ndarray, tuple]:
-    """Routes of Y_order."""
-    pieces = [(0.0, tables[0][0], series)]
-    for lo, hi, coeffs in tables:
-        pieces.append((lo, hi, functools.partial(_chebyshev, coeffs=coeffs, lo=lo, hi=hi)))
-    m, s = _modulus_phase_coeffs(order)
-    h = [s[k] / (2 * k - 1) for k in range(1, len(s))]  # theta's terms h_(k-1) x^(1-2k)
-    shift = (2 * order + 1) * np.pi / 4.0
-    for lo, hi in zip(_Y_BANDS[:-1], _Y_BANDS[1:]):
-        m_terms = _truncation([abs(c) * lo ** (-2 * k) for k, c in enumerate(m)])
-        h_terms = _truncation([abs(c) * lo ** (-2 * k - 1) for k, c in enumerate(h)])
-        pieces.append((lo, hi, functools.partial(
-            _y_modulus_phase, shift=shift, m_coeffs=tuple(m[:m_terms]), h_coeffs=tuple(h[:h_terms]))))
-    return _routes(pieces)
+def _kernel_routes(order: int, oscillatory: bool, series, tables) -> tuple[np.ndarray, tuple]:
+    """The routes of Y_order (oscillatory) or K_order, tiling (0, inf).
 
-
-def _k_routes(order: int, series, tables) -> tuple[np.ndarray, tuple]:
-    """Routes of K_order; below the double-precision floor past 700 it is 0."""
-    pieces = [(0.0, tables[0][0], series)]
+    (edges, fns): fns[i] serves (edges[i-1], edges[i]].  The ascending series
+    runs up to the first table, each Chebyshev table over its own interval,
+    then the large-argument expansion over each of _BANDS; K is 0 past _K_FLOOR.
+    """
+    edges = [tables[0][0]]
+    fns = [series]
+    scaled = not oscillatory  # the K tables hold exp(x) K
     for lo, hi, coeffs in tables:
-        pieces.append((lo, hi, functools.partial(_k_chebyshev, coeffs=coeffs, lo=lo, hi=hi)))
-    for lo, hi, a in _asymptotic_bands(order, _K_FLOOR):
-        pieces.append((lo, hi, functools.partial(_k_asymptotic, coeffs=tuple(a))))
-    pieces.append((_K_FLOOR, np.inf, np.zeros_like))
-    return _routes(pieces)
+        edges.append(hi)
+        fns.append(functools.partial(_chebyshev, coeffs=coeffs, lo=lo, hi=hi, scaled=scaled))
+    edges += _BANDS[1:-1]
+    if oscillatory:
+        m, s = _modulus_phase_coeffs(order)
+        h = [s[k] / (2 * k - 1) for k in range(1, len(s))]  # theta's terms h_(k-1) x^(1-2k)
+        shift = (2 * order + 1) * np.pi / 4.0
+        for lo in _BANDS[:-1]:
+            fns.append(functools.partial(_y_modulus_phase, shift=shift,
+                                         m_coeffs=_truncation(m, lo, 2, 0),
+                                         h_coeffs=_truncation(h, lo, 2, 1)))
+    else:
+        a = [1.0]  # a_k(order)
+        for k in range(1, _HANKEL_MAX_TERMS + 1):
+            a.append(a[-1] * (4.0 * order * order - (2 * k - 1) ** 2) / (8.0 * k))
+        for lo in _BANDS[:-1]:
+            fns.append(functools.partial(_k_asymptotic, coeffs=_truncation(a, lo, 1, 0)))
+        edges.append(_K_FLOOR)
+        fns.append(np.zeros_like)
+    return np.array(edges), tuple(fns)
 
 
 def _dispatch(x, routes: tuple[np.ndarray, tuple]) -> np.ndarray | float:
@@ -505,10 +467,10 @@ def _dispatch(x, routes: tuple[np.ndarray, tuple]) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-_K0_ROUTES = _k_routes(0, _k0_series, _K0_CHEBYSHEV)
-_K1_ROUTES = _k_routes(1, _k1_series, _K1_CHEBYSHEV)
-_Y0_ROUTES = _y_routes(0, _y0_series, _Y0_CHEBYSHEV)
-_Y1_ROUTES = _y_routes(1, _y1_series, _Y1_CHEBYSHEV)
+_K0_ROUTES = _kernel_routes(0, False, _k0_series, _K0_CHEBYSHEV)
+_K1_ROUTES = _kernel_routes(1, False, _k1_series, _K1_CHEBYSHEV)
+_Y0_ROUTES = _kernel_routes(0, True, _y0_series, _Y0_CHEBYSHEV)
+_Y1_ROUTES = _kernel_routes(1, True, _y1_series, _Y1_CHEBYSHEV)
 
 
 def bessel_k0(x) -> np.ndarray | float:

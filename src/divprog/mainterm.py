@@ -34,7 +34,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .arith import divisors, euler_phi, factorize, is_prime, mobius, ramanujan_sum
+from .arith import (
+    _squarefree_divisors, divisors, euler_phi, factorize, is_prime, mobius, ramanujan_sum,
+)
 from .bessel import EULER_GAMMA
 from .errors import InvalidRange, NotPrime
 from .tausieve import divisor_sum_progressions, progression_sum_single, progression_sums_set
@@ -204,16 +206,11 @@ def reduced_main_term(X: int, q: int) -> float:
 
     The same float as main_term_vector(X, q)[a] for gcd(a, q) = 1, with no
     length-q array (main_term_coprime is the closed form, a separate route).
-    Only the row g = 1 of _class_main_terms' table is built: r_d(1) = mu(d),
-    the Kronecker product of the rows (1, -1, 0, ..) of each p^e || q.
+    The row g = 1 of _class_main_terms' table is r_d(1) = mu(d); the
+    non-squarefree d, where mu(d) = 0, only add +-0.0 to the d-sum.
     """
     _check_main_term_args(X, q)
-    divs = np.ones(1, dtype=np.int64)
-    mu = np.ones(1, dtype=np.int64)
-    for p, e in factorize(q):
-        divs = np.multiply.outer(divs, [p**a for a in range(e + 1)]).ravel()
-        mu = np.multiply.outer(mu, [1, -1] + [0] * (e - 1)).ravel()
-    return float(_divisor_sums(X, q, divs, mu)[1])
+    return float(_divisor_sums(X, q, *_squarefree_divisors(q))[1])
 
 
 def error_set(X: int, q: int, residues: list[int]) -> np.ndarray:

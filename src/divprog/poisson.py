@@ -77,8 +77,9 @@ class BumpFunction:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise InvalidRange(f"radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.center) and math.isfinite(self.radius) and self.radius > 0):
+            raise InvalidRange(
+                f"need a finite center and radius > 0, got {self.center}, {self.radius}")
 
     @property
     def support(self) -> tuple[float, float]:

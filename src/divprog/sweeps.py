@@ -133,11 +133,14 @@ class ExperimentConfig:
             allowed = {"ratio_exceptional"}
         else:
             allowed = {"ratio_interval_abs", "ratio_interval_signed", "ratio_set_abs"}
-        for name in self.thresholds:
+        for name, limit in self.thresholds.items():
             if name not in allowed:
                 raise ConfigInvalid(
                     f"thresholds: unknown key {name!r}; expected one of {sorted(allowed)}"
                 )
+            finite = isinstance(limit, int) or (isinstance(limit, float) and math.isfinite(limit))
+            if isinstance(limit, bool) or not finite:
+                raise ConfigInvalid(f"thresholds: {name} must be a finite number, got {limit!r}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

@@ -293,6 +293,8 @@ def voronoi_error_terms(
     eps: float = 0.05,
 ) -> list[VoronoiErrorTerm]:
     """The expansion evaluated for several residues, sharing all weights."""
+    if not math.isfinite(eps):
+        raise InvalidRange(f"eps must be finite, got {eps}")
     a_arr = reduced_mod(a_values, q)
     cutoff = SmoothCutoff(X=float(X), Y=float(Y))
     totals = np.zeros(len(a_arr))

@@ -7,7 +7,9 @@ import pytest
 import scipy.special as sp
 
 from divprog.bessel import (
+    _HANKEL_TAIL,
     _modulus_phase_coeffs,
+    _truncation,
     bessel_k0,
     bessel_k1,
     bessel_y0,
@@ -21,7 +23,8 @@ def _mp_bessel(fn, order: int, x: float) -> float:
     with mpmath.workdps(30):
         return float(fn(order, mpmath.mpf(x)))
 
-# K0, K1: Chebyshev (2, 5] -> (5, 17], then the asymptotic bands
+# K0, K1: Chebyshev (2, 5] -> (5, 17], then the asymptotic bands (17, 25] and
+# (25, 700]; 50, 100 and 200 check continuity inside the last band
 K_SWITCHOVERS = (5.0, 17.0, 25.0, 50.0, 100.0, 200.0)
 # Y0, Y1: series -> Chebyshev (8, 17] -> modulus-phase bands (17, 25] and (25, inf)
 Y_SWITCHOVERS = (8.0, 17.0, 25.0)
@@ -37,6 +40,7 @@ def test_k0_against_mpmath_sweep():
         np.linspace(0.01, 1.99, 40),
         np.linspace(2.0, 8.0, 40),       # Chebyshev routes (2, 5] and (5, 17]
         np.linspace(8.0, 120.0, 60),     # Chebyshev to 17, then asymptotic bands
+        np.linspace(25.0, 50.0, 40),     # where the voronoi integrals take K1
         np.linspace(120.0, 699.0, 30),
     ])
     for x in xs:
@@ -129,6 +133,7 @@ def test_k1_against_mpmath_sweep():
         np.linspace(0.01, 1.99, 40),
         np.linspace(2.0, 8.0, 40),       # Chebyshev routes (2, 5] and (5, 17]
         np.linspace(8.0, 120.0, 60),     # Chebyshev to 17, then asymptotic bands
+        np.linspace(25.0, 50.0, 40),     # where the voronoi integrals take K1
         np.linspace(120.0, 699.0, 30),
     ])
     for x in xs:
@@ -240,3 +245,18 @@ def test_modulus_phase_tables_against_exact_series():
         for k in range(1, 8):
             phase = -s[k] / (2 * k - 1)  # theta's coefficient of x^(1-2k)
             assert math.isclose(phase, atan_exact[k - 1], rel_tol=1e-15), (order, k)
+
+
+def test_truncation_rule():
+    # at lo = 1 the term sizes are the coefficients themselves
+    falling = [10.0 ** (-4 * k) for k in range(8)]
+    assert 1e-16 > _HANKEL_TAIL > 1e-20
+    assert _truncation(falling, 1.0, 1, 0) == tuple(falling[:5])  # up to 1e-16; 1e-20 is under the tail
+    # a divergent series, term sizes 1, 0.1, 0.02, 0.01, 0.02, 0.5 at x = 10 in
+    # powers x^-(2k+1), is cut before its first term that is no smaller than the last
+    sizes = [1.0, 0.1, 0.02, 0.01, 0.02, 0.5]
+    coeffs = [(-1) ** k * size * 10.0 ** (2 * k + 1) for k, size in enumerate(sizes)]
+    assert _truncation(coeffs, 10.0, 2, 1) == tuple(coeffs[:4])
+    # a series that keeps falling and stays above the tail is kept whole
+    halving = [0.5 ** k for k in range(6)]
+    assert _truncation(halving, 1.0, 1, 0) == tuple(halving)

@@ -500,6 +500,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "need X <" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["1.0", None])
+def test_cli_sweep_refuses_a_non_numeric_threshold(tmp_path, capsys, limit):
+    # refused when the config is read, before any grid point runs
+    cfg = _write(tmp_path, dict(BASE, thresholds={"ratio_interval_abs": limit}))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 2
+    assert "thresholds: ratio_interval_abs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["poisson-check", "--q", "7", "--z", "3", "--gx", "nan,1"],
+    ["poisson-check", "--q", "7", "--z", "3", "--gx", "2,nan"],
+    ["poisson-check", "--q", "7", "--z", "3", "--gy", "nan,1"],
+    ["voronoi-check", "--x", "2000", "--q", "12", "--y", "320", "--a", "1", "--eps", "nan"],
+])
+def test_cli_non_finite_floats_are_bad_input(tmp_path, capsys, argv):
+    assert main(["--out-dir", str(tmp_path)] + argv) == 2
+    assert "internal error" not in capsys.readouterr().err
+
+
 def test_cli_refuses_flag_prefixes(tmp_path, monkeypatch, capsys):
     # the removed --out must not be read as a prefix of --out-dir, on either
     # side of the subcommand name; parse errors exit 2 before anything runs
