@@ -93,6 +93,13 @@ def exceptional_count_bound(X: int, p: int, kappa: float) -> float:
 _EXPERIMENTS = ("interval_abs", "interval_signed", "set_abs", "exceptional")
 
 
+def _finite_number(value: Any) -> bool:
+    """An int or a finite float, not a bool: NaN and inf compare false with every bound."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -138,9 +145,10 @@ class ExperimentConfig:
                 raise ConfigInvalid(
                     f"thresholds: unknown key {name!r}; expected one of {sorted(allowed)}"
                 )
-            finite = isinstance(limit, int) or (isinstance(limit, float) and math.isfinite(limit))
-            if isinstance(limit, bool) or not finite:
+            if not _finite_number(limit):
                 raise ConfigInvalid(f"thresholds: {name} must be a finite number, got {limit!r}")
+        if not _finite_number(self.eps):
+            raise ConfigInvalid(f"eps: must be a finite number, got {self.eps!r}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

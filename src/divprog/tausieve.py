@@ -11,20 +11,27 @@ S(X; a, q) = sum of tau(n) over n <= X, n = a mod q comes in four exact
 routes that the tests play against each other:
 
   * naive: tau(2^k m) = (k + 1) tau(m) for odd m, so only odd m <= X are
-    sieved, in cache-sized segments of the index i = (m - 1) / 2.  The odd
-    divisors d <= 15 are laid down as one precomputed wheel of period
-    45045 = lcm(1, 3, ..., 15) in the index, the larger odd d walked one
-    strided add each, their start offsets computed as one array.  Column
-    sums of tau by i mod q / gcd(2, q) run along; each time the sieve passes
-    X >> k (k = floor(log2 X) down to 0) band k is added, times k + 1, at
-    the residues 2^k m mod q.  With q = 2^v q_o, q_o odd, a band k < v is
+    sieved, in segments of _SEGMENT = 2^20 entries (2 MiB) of the index
+    i = (m - 1) / 2, on two levels.  Each 1 MiB piece of a segment takes
+    the odd d <= 15, laid down as one precomputed wheel of period 45045 =
+    lcm(1, 3, ..., 15) in the index, and the odd d < 257, whose strided adds
+    touch every cache line of the piece; the odd d >= 257 skip lines and are
+    walked once per segment.  Each d is one strided add, the start offsets
+    of a level computed as one array.  Column sums of tau by i mod
+    q / gcd(2, q) run along; each time the sieve passes X >> k
+    (k = floor(log2 X) down to 0) band k is added, times k + 1, at the
+    residues 2^k m mod q.  With q = 2^v q_o, q_o odd, a band k < v is
     one strided add to the residues 2^k (2j + 1); the bands k >= v land on
     the multiples of 2^v and are summed mod q_o by Horner's rule over the
     doubling map u -> 2u mod q_o (a copy and two strided adds per band),
     then added once.  No residue is multiplied or reduced,
-  * hyperbola: count lattice points dm <= X with dm = a mod q per residue
-    class in O(sqrt(X) * q) without materializing tau, taking the d in
-    blocks of about _HYPERBOLA_BLOCK / q with one bincount per block,
+  * hyperbola: count lattice points d m <= X, d <= sqrt(X), d <= m, per
+    residue class without materializing tau.  For one d the m = r mod q
+    land on d r mod q, and their count depends on r only through two
+    remainders mod q, so the d are grouped by their class d mod q: each
+    class costs one row of q counts (a running sum over r) and one weighted
+    bincount, O(q min(q, sqrt(X)) + sqrt(X)) in all, the rows taken in
+    blocks of about _HYPERBOLA_BLOCK entries,
   * set: S at a set of A reduced residues only, in O(A sqrt(X)) time
     whatever q is, with no length-q array: e = a dbar mod q for each d
     prime to q, the dbar of all d <= sqrt(X) from one product tree, and
@@ -57,11 +64,13 @@ from .errors import ConfigInvalid, InvalidModulus, InvalidRange, WindowTooLarge
 
 _MEMORY_BUDGET = 2 * 2**30  # bytes a sieve window or a naive-route sum vector may take
 _WINDOW_CAP = 2**40  # windows must sit below this
-_SEGMENT = 1 << 19  # odd entries per naive-route segment (1 MiB of uint16)
+_SEGMENT = 1 << 20  # odd entries per naive-route segment (2 MiB of uint16)
+_PIECE = 1 << 19  # odd entries the wheel and the odd d < _LARGE_D fill at a time (1 MiB)
+_LARGE_D = 257  # odd d from here up are walked once per segment, not once per piece
 _FOLD_Q_MAX = math.isqrt(2**63 - 1)  # set-route products a dbar stay in int64
 _WHEEL = 45045  # lcm(1, 3, ..., 15): the odd d <= 15 repeat with this period in the index
 _COLUMN_WIDTH = 1024  # column sums run over rows of about this many entries
-_HYPERBOLA_BLOCK = 1 << 13  # (d, residue) entries per hyperbola step (64 KiB per int64 temporary)
+_HYPERBOLA_BLOCK = 1 << 15  # (class, residue) entries per hyperbola block (256 KiB of int64)
 _SET_BLOCK = 1 << 14  # (residue, d) entries per set-route step (128 KiB per int64 temporary)
 
 
@@ -167,32 +176,43 @@ def _wheel() -> tuple[np.ndarray, np.ndarray]:
 _WHEEL_PATTERN, _WHEEL_FIX = _wheel()
 
 
-def _sieve_odd(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """tau(m) at the odd m = 2i + 1 for lo <= i < hi, written into buf[: hi - lo]."""
-    n = hi - lo
-    tau = buf[:n]
-    # the odd d <= 15: tau[t] = pattern[(lo + t) % _WHEEL], then the fix
-    o = lo % _WHEEL
-    head = min(n, _WHEEL - o)
-    tau[:head] = _WHEEL_PATTERN[o : o + head]
-    rest = tau[head:]
-    full = len(rest) - len(rest) % _WHEEL
-    rest[:full].reshape(-1, _WHEEL)[:] = _WHEEL_PATTERN
-    rest[full:] = _WHEEL_PATTERN[: len(rest) - full]
-    if lo < len(_WHEEL_FIX):
-        t = min(n, len(_WHEEL_FIX) - lo)
-        tau[:t] -= _WHEEL_FIX[lo : lo + t]
-    m_lo, m_hi = 2 * lo + 1, 2 * hi - 1
-    # for every odd d in [17, sqrt(m_hi)] at once: the least odd cofactor
-    # e > d with d*e >= m_lo, and its index; odd multiples of d sit 2d apart,
-    # which is d apart in the index i.  Products stay below 2^42 in int64.
-    d = np.arange(17, math.isqrt(m_hi) + 1, 2, dtype=np.int64)
+def _add_pairs(tau: np.ndarray, lo: int, d_lo: int, d_hi: int) -> None:
+    """Add 2 at index i - lo for each pair d < e, d e = 2i + 1, odd d in [d_lo, d_hi), d_lo odd."""
+    m_lo, m_hi = 2 * lo + 1, 2 * (lo + len(tau)) - 1
+    # for every such d at once: the least odd cofactor e > d with d*e >= m_lo,
+    # and its index; odd multiples of d sit 2d apart, which is d apart in the
+    # index i.  Products stay below 2^42 in int64.
+    d = np.arange(d_lo, min(d_hi, math.isqrt(m_hi) + 1), 2, dtype=np.int64)
     e = -(-np.maximum(m_lo, d * (d + 2)) // d) | 1
     first = (d * e - 1) // 2 - lo
-    hit = first < n
+    hit = first < len(tau)
     two = np.uint16(2)  # a numpy scalar: no Python-int conversion per strided add
     for f, step in zip(first[hit].tolist(), d[hit].tolist()):
         tau[f::step] += two
+
+
+def _sieve_odd(buf: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """tau(m) at the odd m = 2i + 1 for lo <= i < hi, written into buf[: hi - lo]."""
+    tau = buf[: hi - lo]
+    # pieces of _PIECE entries take the odd d < _LARGE_D, whose strided adds
+    # touch every cache line of the piece; the larger d skip lines and are
+    # walked once over the whole window
+    for p in range(lo, hi, _PIECE):
+        piece = tau[p - lo : p - lo + _PIECE]
+        # the odd d <= 15: piece[t] = pattern[(p + t) % _WHEEL], then the fix
+        o = p % _WHEEL
+        head = min(len(piece), _WHEEL - o)
+        piece[:head] = _WHEEL_PATTERN[o : o + head]
+        rest = piece[head:]
+        full = len(rest) - len(rest) % _WHEEL
+        rest[:full].reshape(-1, _WHEEL)[:] = _WHEEL_PATTERN
+        rest[full:] = _WHEEL_PATTERN[: len(rest) - full]
+        if p < len(_WHEEL_FIX):
+            t = min(len(piece), len(_WHEEL_FIX) - p)
+            piece[:t] -= _WHEEL_FIX[p : p + t]
+        _add_pairs(piece, p, 17, _LARGE_D)
+    m_lo, m_hi = 2 * lo + 1, 2 * hi - 1
+    _add_pairs(tau, lo, max(17, _LARGE_D | 1), math.isqrt(m_hi) + 1)
     e = np.arange(max(17, math.isqrt(m_lo - 1) + 1 | 1), math.isqrt(m_hi) + 1, 2, dtype=np.int64)
     tau[(e * e - 1) // 2 - lo] += 1
     return tau
@@ -258,18 +278,55 @@ def _progressions_naive(X: int, q: int) -> np.ndarray:
 
 
 def _progressions_hyperbola(X: int, q: int) -> np.ndarray:
-    # Every partial bucket sum is an integer no larger than sum_{n<=X} tau(n)
-    # < X (log X + 1) < 2^45 for X < _WINDOW_CAP = 2^40, so float64 (exact
-    # to 2^53) adds the bincount weights without rounding.
-    r = np.arange(q, dtype=np.int64)
-    buckets = np.zeros(q, dtype=np.float64)
+    # S = 2 sum_{d <= D} #{m : d <= m <= X/d} at residue d m mod q, less one
+    # at each square e^2, e <= D = isqrt(X).  With X//d = Qh q + rh and
+    # d - 1 = Ql q + rl, the m = r mod q in [d, X/d] number
+    # Qh - Ql + [r > rl] - [r > rh]; d r mod q and rl = c - 1 mod q depend on
+    # d only through its class c = d mod q.  So class c adds the row
+    # C_c + #{rl < r} - #{rh < r} over its d (C_c the sum of their Qh - Ql)
+    # at c r mod q, one weighted bincount per block of rows.  A row is a
+    # step function of r: its steps are sorted and np.repeat lays down the
+    # running sum.  The d come sorted by class, so a block reads one slice.
+    # Exactness: every level and partial bucket sum is an integer no larger
+    # than sum_{n<=X} tau(n) < 2^45 for X < 2^40, so float64 (exact to 2^53)
+    # holds it.
     D = math.isqrt(X)
+    width = min(q, D + 1)  # the classes c < width hold every d <= D
+    d = (np.arange(D // q + 1, dtype=np.int64)[:, None] * q + np.arange(width)).T.ravel()
+    d = d[(d >= 1) & (d <= D)]
+    cls = d % q
+    Qh = X // d // q
+    C = np.bincount(cls, weights=Qh - (d - 1) // q, minlength=width)
+    rh_col = X // d - Qh * q + 1  # the column where -[r > rh] steps
+    count = np.bincount(cls, minlength=width)  # d per class
+    start = np.cumsum(count) - count  # where each class begins in d
+    r = np.arange(q + 1, dtype=np.int64)
+    buckets = np.zeros(q, dtype=np.float64)
     rows = max(1, _HYPERBOLA_BLOCK // q)
-    for d0 in range(1, D + 1, rows):
-        d = np.arange(d0, min(d0 + rows, D + 1), dtype=np.int64)[:, None]
-        cnt = (X // d - r) // q - (d - 1 - r) // q
-        idx = d * r % q
-        buckets += np.bincount(idx.ravel(), weights=cnt.ravel().astype(np.float64), minlength=q)
+    # one block's residues c r mod q, reused: fresh block-sized temporaries
+    # would cost page faults whenever the allocator hands them back
+    product = np.empty((rows, q + 1), dtype=np.int64)
+    quotient = np.empty_like(product)
+    for c0 in range(0, width, rows):
+        c1 = min(c0 + rows, width)
+        c = np.arange(c0, c1, dtype=np.int64)
+        row = (c - c0) * (q + 1)  # rows of q + 1 columns; the last holds 0
+        s0, s1 = start[c0], start[c1 - 1] + count[c1 - 1]
+        # the steps of each row: C_c at column 0, count at rl + 1, -1 at each
+        # rh + 1 and -C_c at column q, so every row sums to 0 and one running
+        # sum over the block restarts at each row
+        at = np.concatenate((row, row + (c - 1) % q + 1, row + q,
+                             np.repeat(row, count[c0:c1]) + rh_col[s0:s1]))
+        step = np.concatenate((C[c0:c1], count[c0:c1], -C[c0:c1], np.full(s1 - s0, -1.0)))
+        order = np.argsort(at, kind="stable")
+        at = at[order]
+        level = np.concatenate(([0.0], np.cumsum(step[order])))
+        weights = np.repeat(level, np.diff(at, prepend=0, append=len(c) * (q + 1)))
+        idx = np.multiply(c[:, None], r, out=product[: len(c)])
+        quo = np.floor_divide(idx, q, out=quotient[: len(c)])  # not %: numpy
+        quo *= q  # divides by a scalar faster than it takes a remainder
+        idx -= quo
+        buckets += np.bincount(idx.ravel(), weights=weights, minlength=q)
     S = 2 * buckets.astype(np.int64)
     e = np.arange(1, D + 1, dtype=np.int64)
     np.subtract.at(S, e * e % q, 1)
@@ -278,15 +335,15 @@ def _progressions_hyperbola(X: int, q: int) -> np.ndarray:
 
 def _hyperbola_max_q(X: int) -> int:
     """Largest q for which method="auto" takes the hyperbola route."""
-    # Fitted costs on 2 cores with numpy 2.4: hyperbola fills isqrt(X) q
-    # (d, residue) entries at about 1.1-1.3e-8 s each, in blocks of
-    # _HYPERBOLA_BLOCK entries, so below q = 2^13 there is no per-d overhead;
-    # naive costs 2.5-5 ns per n <= X, the per-divisor loop growing with
-    # isqrt(X).  From medians of five alternating runs at five primes q
-    # between half and twice this bound, and a linear fit in q for each
-    # route, the two took equal time at q near 460-490 (X = 4e6), 820-850
-    # (1e7) and 1750-1910 (3e7): the bound errs by at most 1.35x in q.
-    return X // 14500 + 300
+    # Fitted costs on 2 cores with numpy 2.4: hyperbola spends 4-7 ns per
+    # (class, residue) entry, min(q, isqrt(X)) q of them; naive 1.8-5 ns per
+    # n <= X, the per-divisor loop growing with isqrt(X).  From medians of
+    # 3-41 alternating runs of the two at primes q between 0.45 and 1.3
+    # isqrt(X), they took equal time near q = 0.59 isqrt(X) at X = 1e5, 0.62
+    # (1e6), 0.69 (1e7), 0.87 (1e8), 0.88 (3e8) and 1.1 (1e9); this bound is
+    # isqrt(X) times 0.53, 0.63, 0.75, 0.84, 0.91 and 0.94 there.  At 1e4
+    # hyperbola stays faster up to q near 1.6 isqrt(X), both under 0.2 ms.
+    return math.isqrt(X) * X.bit_length() // 32
 
 
 def _check_progression(X: int, q: int) -> None:
@@ -315,19 +372,21 @@ def divisor_sum_progressions(X: int, q: int, method: str = "auto") -> Progressio
 
 def _pairs_max_residues(X: int, q: int) -> int:
     """Most distinct residues for which progression_sums_set counts pairs."""
-    # Fitted on 2 cores with numpy 2.4: the pairs cost 7-13 ns per
-    # (residue, d) pair, d <= isqrt(X).  A vector costs 11-13 ns per
-    # hyperbola entry (isqrt(X) q of them, more than the pairs of any A < q)
-    # and 3-9 ns per n <= X on the naive route.  With naive the two took
-    # equal time near A = 170-230 at (1e5, 2153), 345-400 at (1e6, 9973) and
-    # 1620-1810 at (1e7, 46411), against bounds 221, 700 and 2213 (medians
-    # of 9-25 alternating runs, pairs fitted linearly in A).  Only d prime
-    # to q make pairs, so for q with small prime factors the bound is low:
-    # at (1e7, 720720) pairs took 23 ms against 49 ms for the vector at
-    # A = 4426.
+    # Fitted on 2 cores with numpy 2.4: the pairs cost 4.5-6.5 ns per
+    # (residue, d) pair, d <= isqrt(X) prime to q.  In medians of 7-21
+    # alternating runs, pairs fitted linearly in A, the naive vector took
+    # equal time near A = 161 at (1e5, 2153), 320 at (1e6, 9973) and 1399 at
+    # (1e7, 46411), against bounds 126, 400 and 1265 here.  The hyperbola
+    # vector, O(q min(q, isqrt(X))), took equal time near A = 0.8-1.0 q
+    # min(q, isqrt(X)) / isqrt(X): 39 at (1e6, 199), 167 at (1e6, 449), 62
+    # at (1e7, 463) and 1030 at (1e7, 2003), against 35, 181, 61 and 1141.
+    # Only d prime to q make pairs, so for q with small prime factors the
+    # bound is low: at (1e7, 720720) pairs took 4.3 ms against 27 ms for the
+    # vector at A = 1265, and the two took equal time near A = 8500.
+    D = math.isqrt(X)
     if q <= _hyperbola_max_q(X):
-        return q
-    return 7 * X // (10 * math.isqrt(X))
+        return 9 * q * min(q, D) // (10 * D)
+    return 2 * X // (5 * D)
 
 
 def progression_sums_set(X: int, q: int, residues) -> np.ndarray:

@@ -510,6 +510,18 @@ def test_cli_sweep_refuses_a_non_numeric_threshold(tmp_path, capsys, limit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_cli_sweep_refuses_a_non_finite_eps(tmp_path, capsys, literal):
+    # json reads these literals as floats; NaN would make every regime test false
+    doc = dict(BASE, experiment="set_abs", sets={"kind": "random", "lengths": [8]})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc)[:-1] + f', "eps": {literal}}}')
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 2
+    assert "eps: must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["poisson-check", "--q", "7", "--z", "3", "--gx", "nan,1"],
     ["poisson-check", "--q", "7", "--z", "3", "--gx", "2,nan"],

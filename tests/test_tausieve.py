@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,7 +123,7 @@ def _assert_routes_agree(X, q):
 def test_routes_agree_across_auto_boundary():
     # check the q on either side of auto's switch, so the route choice cannot
     # change a result
-    for X in (6 * 10**6 + 17, 10**7):
+    for X in (10**4, 10**5, 6 * 10**6 + 17, 10**7):
         q_switch = tausieve._hyperbola_max_q(X)  # largest q that takes hyperbola
         assert q_switch >= 2, X
         for q in (q_switch - 1, q_switch, q_switch + 1, q_switch + 2):
@@ -238,8 +240,8 @@ def test_naive_route_matches_divisor_walk():
 
 
 def test_hyperbola_blocks_of_d(monkeypatch):
-    # blocks of 1, 3 or 7 values of d, on X whose isqrt is no multiple of the
-    # block (and one whose isqrt is shorter than the block)
+    # blocks of 1, 3 or 7 classes d mod q, on X whose isqrt is no multiple of
+    # the block (and one whose isqrt is shorter than the block)
     for rows in (1, 3, 7):
         for q in (1, 2, 7, 101, 360):
             monkeypatch.setattr(tausieve, "_HYPERBOLA_BLOCK", rows * q)
@@ -249,6 +251,46 @@ def test_hyperbola_blocks_of_d(monkeypatch):
                 hyper = divisor_sum_progressions(X, q, method="hyperbola").sums
                 naive = divisor_sum_progressions(X, q, method="naive").sums
                 assert np.array_equal(hyper, naive), (rows, q, X)
+
+
+@pytest.mark.parametrize("X", [1000**2, 1000**2 - 1])
+def test_hyperbola_classes_against_naive_and_single(monkeypatch, X):
+    # X a square and a square minus 1; q = 1, 2, 720, a prime below sqrt(X),
+    # isqrt(X) and isqrt(X) + 1 group several d per class d mod q, and q above
+    # sqrt(X) leaves one d per class.  Blocks of 1, 3 or 7 classes, and the
+    # default block, end inside the range of classes.
+    D = math.isqrt(X)
+    for q in (1, 2, 720, 997, D, D + 1, 2003, 9973):
+        naive = divisor_sum_progressions(X, q, method="naive").sums
+        for block in (tausieve._HYPERBOLA_BLOCK, q, 3 * q, 7 * q + 5):
+            monkeypatch.setattr(tausieve, "_HYPERBOLA_BLOCK", block)
+            hyper = divisor_sum_progressions(X, q, method="hyperbola").sums
+            assert np.array_equal(hyper, naive), (X, q, block)
+        assert int(naive.sum()) == total_divisor_sum(X), (X, q)
+        for a in {0, 1 % q, 2 % q, q // 2, q - 1, 45 % q}:
+            assert naive[a] == progression_sum_single(X, q, a), (X, q, a)
+
+
+def test_sieve_odd_pieces_and_large_divisor_cut(monkeypatch):
+    # short pieces and a low cut put piece edges, the cut, the 113-entry fix
+    # and a 45045-entry wheel period inside one window
+    for piece, cut in ((1, 17), (7, 19), (1000, 21), (4096, 63), (45045, 257), (2**19, 1001)):
+        monkeypatch.setattr(tausieve, "_PIECE", piece)
+        monkeypatch.setattr(tausieve, "_LARGE_D", cut)
+        for lo, n in ((0, 1), (0, 50000), (100, 2000), (45045 - 1500, 3001), (5 * 10**6 + 3, 4000)):
+            if n > 5000 and piece < 1000:
+                continue  # one Python step per entry
+            buf = np.empty(n, dtype=np.uint16)
+            tau = tausieve._sieve_odd(buf, lo, lo + n)
+            ref = sieve_tau(2 * lo + 1, 2 * n - 1).values[::2]
+            assert np.array_equal(tau, ref), (piece, cut, lo, n)
+    # and through the naive route, pieces shorter than a segment
+    monkeypatch.setattr(tausieve, "_SEGMENT", 64)
+    monkeypatch.setattr(tausieve, "_PIECE", 24)
+    monkeypatch.setattr(tausieve, "_LARGE_D", 21)
+    for X in (127, 128, 129, 3001, 90091):
+        for q in (1, 2, 7, 48, 101):
+            _assert_naive_route_right(X, q)
 
 
 def test_sieve_odd_matches_divisor_walk():
@@ -351,9 +393,9 @@ def test_set_route_single_residues_and_repeats():
 
 
 def test_set_route_reads_large_sets_off_the_vector(monkeypatch):
-    # either side of _pairs_max_residues, at naive rungs (bound 0.7 X /
-    # isqrt(X)) and a hyperbola rung (bound q, so always pairs); repeats do
-    # not count toward the bound
+    # either side of _pairs_max_residues, at naive rungs (bound
+    # 2 X / (5 isqrt(X))) and a hyperbola rung (bound 9 q min(q, isqrt(X)) /
+    # (10 isqrt(X)), below q); repeats do not count toward the bound
     vector = tausieve.divisor_sum_progressions
     calls = []
     monkeypatch.setattr(tausieve, "divisor_sum_progressions",
@@ -367,7 +409,7 @@ def test_set_route_reads_large_sets_off_the_vector(monkeypatch):
             calls.clear()
             assert np.array_equal(progression_sums_set(X, q, residues), S[residues]), (X, q, A)
             assert calls == ([(X, q)] if len(units[:A]) > bound else []), (X, q, A)
-    assert tausieve._pairs_max_residues(10**5, 101) == 101
+    assert tausieve._pairs_max_residues(10**5, 101) == 9 * 101 * 101 // (10 * 316)
 
 
 def test_set_route_rejects_non_reduced_residues():
