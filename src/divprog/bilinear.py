@@ -7,11 +7,11 @@ and weights |alpha_a| <= 1, |nu_n| <= 1:
 
 Two evaluation routes:
 
-  * brute force, any alpha: T(x) = sum_n nu_n e_d(n x) on every x, scattered
-    to y = xbar and summed against e_d(a y) for each a in I, both as s x s
-    contractions (s = isqrt(d - 1) + 1, y = s i + j; see kloosterman.py).
-    Scratch: two grids of 16 s^2 bytes, within the evaluator's own 32 d
-    bytes for d <= TWIDDLE_CAP,
+  * brute force, any alpha: T(x) = sum_n nu_n e_d(n x) on every x, then
+    sum_x T(x) e_d(a xbar) for each a in I, both as s x s contractions with
+    no FFT (s = isqrt(d - 1) + 1: phase_grid and the direct unit_sums of
+    kloosterman.py).  Scratch: two grids of 16 s^2 bytes, within the
+    evaluator's own 32 d bytes for d <= TWIDDLE_CAP,
   * for alpha identically 1, the collapsed kernel
         sum_{x in (Z/d)^*} T(x) G_I(xbar),   G_I(y) = sum_{a in I} e_d(ay),
     where T(x) = sum_n nu_n e_d(nx) comes from one length-d inverse DFT
@@ -84,9 +84,8 @@ def bilinear_sum(inst: BilinearInstance) -> complex:
     B, A = inst.I
     M, N = inst.J
     T = ev.phase_grid(inst.nu, np.arange(M + 1, M + N + 1, dtype=np.int64))
-    g = np.zeros_like(T)
-    g[ev.inverses] = T[ev.units]  # g[xbar] = T(x)
-    return complex(inst.alpha @ ev.phase_sums(g, np.arange(B + 1, B + A + 1, dtype=np.int64)))
+    I = np.arange(B + 1, B + A + 1, dtype=np.int64)
+    return complex(inst.alpha @ ev.unit_sums(T[ev.units], I, "direct"))
 
 
 def bilinear_sum_unweighted_a(inst: BilinearInstance) -> complex:
@@ -100,7 +99,8 @@ def bilinear_sum_unweighted_a(inst: BilinearInstance) -> complex:
     padded = np.zeros(d, dtype=np.complex128)
     padded[M + 1 : M + N + 1] = inst.nu  # J sits inside [1, d - 1]
     T = d * np.fft.ifft(padded)  # T[x] = sum_n nu_n e_d(n x)
-    return complex(ev.over_inverses(T[ev.units])[B + 1 : B + A + 1].sum())
+    I = np.arange(B + 1, B + A + 1, dtype=np.int64)
+    return complex(ev.unit_sums(T[ev.units], I, "fft").sum())
 
 
 def bilinear_bound_initial_interval(A: int, N: int, p: int) -> float:

@@ -42,7 +42,7 @@ from . import bilinear as bl
 from . import sweeps
 from .arith import reduced_residues
 from .characters import congruence_bound_report, fourth_moment, multiplicative_congruence_count
-from .errors import ConfigInvalid, DivprogError
+from .errors import ConfigInvalid, DivprogError, InvalidModulus
 from .kloosterman import check_weil, kloosterman_batch_over_a
 from .mainterm import error_set, exceptional_set, interval_residues, reduced_main_term
 from .poisson import BumpFunction, ProductTestFunction, poisson_tau, poisson_tau_twisted
@@ -83,6 +83,12 @@ def _parse_float_pair(text: str, flag: str) -> tuple[float, float]:
         return float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigInvalid(f"{flag}: expected two numbers, got {text!r}") from exc
+
+
+def _check_modulus(q: int) -> None:
+    # before any residue is reduced mod q
+    if q < 1:
+        raise InvalidModulus(f"--q must be >= 1, got {q}")
 
 
 def _residue_set(text: str, q: int) -> list[int]:
@@ -129,6 +135,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_errors(args) -> int:
+    _check_modulus(args.q)
     residues = _residue_set(args.set, args.q)
     M = reduced_main_term(args.x, args.q)
     S = progression_sums_set(args.x, args.q, residues).tolist()
@@ -193,6 +200,7 @@ def _cmd_bilinear(args) -> int:
 
 def _cmd_voronoi_check(args) -> int:
     q = args.q
+    _check_modulus(q)
     if args.a == "all-coprime":
         residues = reduced_residues(q).tolist()
     else:
@@ -378,6 +386,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigInvalid(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except ConfigInvalid as exc:
         print(f"divprog: config error: {exc}", file=sys.stderr)

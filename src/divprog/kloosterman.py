@@ -6,27 +6,26 @@ The unit group of Z/1 is {0} (gcd(0, 1) = 1, and 0 is its own inverse),
 so the general sum gives K_1(m, n) = e_1(0) = 1: the unit that the d = 1
 term of the divisor-sum decomposition needs, with no special case.
 
-Three routes, used against each other in the tests:
+Routes, used against each other in the tests:
 
   * scalar evaluation over the unit group with a shared twiddle table,
     summed in blocks of _VALUE_BLOCK units, so its scratch stays at a
     few MiB at any d; the imaginary part of the total is checked once,
     against phi(d),
-  * batch over a: K_d(m, a) for many a, either through one length-d
-    inverse DFT of the unit-indexed phase vector (K_d(m, .) is the
-    Fourier transform of y -> e_d(m ybar) on Z_d), or directly, with no
-    FFT: the phases e_d(m x) are scattered to y = xbar and summed against
-    e_d(a y) for each a.  The direct sum splits y = s i + j with
-    s = isqrt(d - 1) + 1, so e_d(a y) = e_d(a s i) e_d(a j) and a block
-    of a values costs one matrix product with the s x s grid (phase_sums;
-    its adjoint phase_grid serves the brute bilinear sum).  Its scratch is
-    one grid of 16 s^2 >= 16 d bytes, no less than the fft route's
-    length-d array, plus phase tables of _PHASE_BLOCK entries, so auto
-    picks the route by time alone,
+  * unit sums sum_i t_i e_d(a xbar_i) for many a, any weights t on the
+    units x_i (unit_sums): t is scattered to y = xbar and summed by one
+    length-d inverse DFT, or directly, with no FFT: y = s i + j with
+    s = isqrt(d - 1) + 1, so e_d(a y) = e_d(a s i) e_d(a j) and a block of
+    a values costs one matrix product with the s x s grid (its adjoint
+    phase_grid serves the brute bilinear sum).  The direct scratch, a grid
+    of 16 s^2 >= 16 d bytes plus phase tables of _PHASE_BLOCK entries, is
+    no less than the fft route's, so auto picks by time alone.
+    batch_over_a is K_d(m, .) with t_i = e_d(m x_i), and fold is
+    sum_r W[r] K_d(r, .) with t = d ifft(W) at the units,
   * full table: all K_d(m, n) at once from one row per divisor g of d.
     For a unit u, K_d(g u, n) = K_d(g, u n) (substitute x -> ubar x), so
     every row m with gcd(m, d) = g is a gather of the row K_d(g, .),
-    which is one batch-over-a transform; row 0 is the g = d row.
+    which is one fft unit sum; row 0 is the g = d row.
 
 The unit group is built with whole-array operations and one route for
 every d: the units are what is left after clearing the multiples of each
@@ -65,7 +64,7 @@ _TABLE_BLOCK = 1 << 16  # table entries gathered per step (512 KiB of int64 indi
 _PHASE_BLOCK = 1 << 16  # split-phase entries per block of frequencies (1 MiB of complex128)
 _VALUE_BLOCK = 1 << 16  # units summed per step of the scalar (1 MiB of complex128 phases)
 
-_FFT_OVER_DIRECT = 16.0  # auto: fft when len(a) s^2 > this * d log2 d (fit in batch_over_a)
+_FFT_OVER_DIRECT = 16.0  # auto: fft when len(a) s^2 > this * d log2 d (fit in unit_sums)
 _IMAG_SLACK = 1e-9  # allowance on an accumulated imaginary part, per unit of sum |term|
 
 
@@ -153,8 +152,20 @@ class KloostermanEvaluator:
         return z.real
 
     def batch_over_a(self, m: int, a_values, method: str = "auto") -> np.ndarray:
-        """K_d(m, a) for each a in a_values; 'direct', 'fft' or 'auto'."""
-        a_arr = np.asarray(list(a_values), dtype=np.int64) % self.d
+        """K_d(m, a) for each a in a_values; 'direct', 'fft' or 'auto' (see unit_sums)."""
+        a = np.asarray(list(a_values), dtype=np.int64) % self.d
+        t = self._phases(m % self.d * self.units % self.d)
+        return self._real_part(self.unit_sums(t, a, method), f"{m}, a", self.phi)
+
+    def unit_sums(self, t: np.ndarray, a: np.ndarray, method: str) -> np.ndarray:
+        """sum_i t[i] e_d(a xbar_i) for each a in a (residues in [0, d)), x_i = units[i].
+
+        t is scattered to y = xbar.  'fft': one length-d inverse DFT gives
+        every a.  'direct', no FFT: on the flat s x s grid y = s i + j,
+        e_d(a y) = e_d(a s i) e_d(a j), so each block of a values is one
+        matrix product of the fine phases with the grid, weighted by the
+        coarse ones.  'auto' picks the cheaper of the two.
+        """
         if method == "auto":
             # Fitted on 2 cores with numpy 2.4 and OpenBLAS 0.3 at two
             # threads: direct costs one BLAS product per block (s^2 ~ d
@@ -165,37 +176,19 @@ class KloostermanEvaluator:
             # the FFT is Bluestein's.  Equal time is c d log2 d / s^2 values
             # of a with c from 1.9 to 135; c = 16 errs by at most ~8x in
             # len(a) either way.
-            direct_cost = len(a_arr) * self.side**2
+            direct_cost = len(a) * self.side**2
             fft_cost = _FFT_OVER_DIRECT * self.d * math.log2(self.d)
             method = "fft" if direct_cost > fft_cost else "direct"
-        if method not in ("direct", "fft"):
-            raise ConfigInvalid(f"unknown method {method!r}")
-        t = self._phases(m % self.d * self.units % self.d)
         if method == "fft":
-            z = self.over_inverses(t)[a_arr]
-        else:
-            g = np.zeros(self.side**2, dtype=np.complex128)
+            g = np.zeros(self.d, dtype=np.complex128)
             g[self.inverses] = t
-            z = self.phase_sums(g, a_arr)
-        return self._real_part(z, f"{m}, a", self.phi)
-
-    def _split_phases(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """e_d(k s i) and e_d(k j) for 0 <= i, j < s: two (len(k), s) tables."""
+            return (self.d * np.fft.ifft(g))[a]
+        if method != "direct":
+            raise ConfigInvalid(f"unknown method {method!r}")
         s = self.side
-        j = np.arange(s, dtype=np.int64)
-        coarse = self._phases(k[:, None] * (s * j % self.d) % self.d)
-        fine = self._phases(k[:, None] * j % self.d)
-        return coarse, fine
-
-    def phase_sums(self, g: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """sum_y g[y] e_d(a y) over y in [0, s^2), for each a in a (residues in [0, d)).
-
-        g is a flat s x s grid, y = s i + j, and e_d(a y) = e_d(a s i) e_d(a j):
-        each block of a values is one matrix product of the fine phases with
-        the grid, weighted by the coarse ones.
-        """
-        s = self.side
-        grid = g.reshape(s, s)
+        grid = np.zeros(s * s, dtype=np.complex128)
+        grid[self.inverses] = t
+        grid = grid.reshape(s, s)
         out = np.empty(len(a), dtype=np.complex128)
         block = max(1, _PHASE_BLOCK // s)
         for lo in range(0, len(a), block):
@@ -205,11 +198,19 @@ class KloostermanEvaluator:
             out[lo : lo + block] = (coarse * (fine @ grid.T)).sum(1)
         return out
 
+    def _split_phases(self, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """e_d(k s i) and e_d(k j) for 0 <= i, j < s: two (len(k), s) tables."""
+        s = self.side
+        j = np.arange(s, dtype=np.int64)
+        coarse = self._phases(k[:, None] * (s * j % self.d) % self.d)
+        fine = self._phases(k[:, None] * j % self.d)
+        return coarse, fine
+
     def phase_grid(self, w: np.ndarray, n: np.ndarray) -> np.ndarray:
         """sum_k w[k] e_d(n[k] x) for every x in [0, s^2), as a flat s x s grid.
 
-        The adjoint of phase_sums: per block of n, one matrix product of the
-        weighted coarse phases with the fine ones.
+        The adjoint of the direct unit sums: per block of n, one matrix
+        product of the weighted coarse phases with the fine ones.
         """
         s = self.side
         grid = np.zeros((s, s), dtype=np.complex128)
@@ -219,15 +220,6 @@ class KloostermanEvaluator:
             coarse *= w[lo : lo + block, None]
             grid += coarse.T @ fine
         return grid.ravel()
-
-    def over_inverses(self, t: np.ndarray) -> np.ndarray:
-        """sum_x t[i] e_d(a xbar) for every a in [0, d), x = units[i].
-
-        t is scattered to the inverses and summed by one length-d inverse DFT.
-        """
-        g = np.zeros(self.d, dtype=np.complex128)
-        g[self.inverses] = t
-        return self.d * np.fft.ifft(g)
 
 
 def kloosterman(d: int, m: int, n: int) -> float:
@@ -251,7 +243,7 @@ def kloosterman_table(d: int) -> np.ndarray:
     block = max(1, _TABLE_BLOCK // d)
     for g in divisors(d):
         gu = g * ev.units % d
-        row = ev._real_part(ev.over_inverses(ev._phases(gu)), f"{g}, .", ev.phi)  # K_d(g, .)
+        row = ev._real_part(ev.unit_sums(ev._phases(gu), n, "fft"), f"{g}, .", ev.phi)  # K_d(g, .)
         # the rows m = g u mod d over the units u, each with one such u;
         # for g = d that is m = 0 alone
         rows, first = np.unique(gu, return_index=True)
@@ -260,6 +252,20 @@ def kloosterman_table(d: int) -> np.ndarray:
             idx -= idx // d * d  # idx %= d, as in value: cache-sized blocks make // pay
             table[rows[lo : lo + block]] = row[idx]
     return table
+
+
+def fold(d: int, W: np.ndarray, a_values) -> np.ndarray:
+    """sum_r W[r] K_d(r, a) for each a in a_values, for real W of length d.
+
+    Summed over r first, sum_r W[r] e_d(r x) is T(x) = d ifft(W)(x), so the
+    fold is the fft unit sum of T over the units: two length-d DFTs.  It is
+    real (T(-x) is the conjugate of T(x)); its imaginary part is checked
+    against sum |T(x)| over the units, which bounds every value.
+    """
+    ev = _evaluator(d)
+    T = (d * np.fft.ifft(W))[ev.units]
+    a = np.asarray(a_values, dtype=np.int64) % d
+    return ev._real_part(ev.unit_sums(T, a, "fft"), "W, a", float(np.abs(T).sum()))
 
 
 @dataclass(frozen=True)

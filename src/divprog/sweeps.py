@@ -149,6 +149,8 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"thresholds: {name} must be a finite number, got {limit!r}")
         if not _finite_number(self.eps):
             raise ConfigInvalid(f"eps: must be a finite number, got {self.eps!r}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed: must be >= 0, got {self.seed}")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

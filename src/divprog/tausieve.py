@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import batch_inverse, reduced_mod
+from .arith import batch_inverse, count_units, reduced_mod
 from .errors import ConfigInvalid, InvalidModulus, InvalidRange, WindowTooLarge
 
 _MEMORY_BUDGET = 2 * 2**30  # bytes a sieve window or a naive-route sum vector may take
@@ -373,20 +373,20 @@ def divisor_sum_progressions(X: int, q: int, method: str = "auto") -> Progressio
 def _pairs_max_residues(X: int, q: int) -> int:
     """Most distinct residues for which progression_sums_set counts pairs."""
     # Fitted on 2 cores with numpy 2.4: the pairs cost 4.5-6.5 ns per
-    # (residue, d) pair, d <= isqrt(X) prime to q.  In medians of 7-21
-    # alternating runs, pairs fitted linearly in A, the naive vector took
-    # equal time near A = 161 at (1e5, 2153), 320 at (1e6, 9973) and 1399 at
-    # (1e7, 46411), against bounds 126, 400 and 1265 here.  The hyperbola
-    # vector, O(q min(q, isqrt(X))), took equal time near A = 0.8-1.0 q
-    # min(q, isqrt(X)) / isqrt(X): 39 at (1e6, 199), 167 at (1e6, 449), 62
-    # at (1e7, 463) and 1030 at (1e7, 2003), against 35, 181, 61 and 1141.
-    # Only d prime to q make pairs, so for q with small prime factors the
-    # bound is low: at (1e7, 720720) pairs took 4.3 ms against 27 ms for the
-    # vector at A = 1265, and the two took equal time near A = 8500.
+    # (residue, d) pair, d <= isqrt(X) prime to q, so the bounds divide by
+    # the count U of those d.  In medians of 7-21 alternating runs, pairs
+    # fitted linearly in A, the naive vector took equal time near A = 161
+    # at (1e5, 2153), 320 at (1e6, 9973), 1399 at (1e7, 46411) and 8500 at
+    # (1e7, 720720), where only 605 of the 3162 d are prime to q, against
+    # bounds 126, 400, 1265 and 6611 here.  The hyperbola vector,
+    # O(q min(q, isqrt(X))), took equal time near A = 0.8-1.0 q
+    # min(q, isqrt(X)) / U: 39 at (1e6, 199), 167 at (1e6, 449), 62
+    # at (1e7, 463) and 1030 at (1e7, 2003), against 35, 181, 61 and 1142.
     D = math.isqrt(X)
+    U = int(count_units(q, D))
     if q <= _hyperbola_max_q(X):
-        return 9 * q * min(q, D) // (10 * D)
-    return 2 * X // (5 * D)
+        return 9 * q * min(q, D) // (10 * U)
+    return 2 * X // (5 * U)
 
 
 def progression_sums_set(X: int, q: int, residues) -> np.ndarray:

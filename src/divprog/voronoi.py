@@ -46,10 +46,10 @@ the same pipeline on every panel cut in two, checked against their
 first value, and flagged if the two differ by more.  Convergence
 problems are reported on the returned value, never raised.
 
-The n-sum is folded per divisor: with W^+-[r] = sum_{n = r (d)} tau(n)
-u_d^+-(n), the block is sum_{x unit} T(x) e_d(a xbar), where
-T(x) = sum_r W^+[r] e_d(-rx) + W^-[r] e_d(rx); two length-d DFTs give T
-and one more gives every a at once.
+The n-sum is folded per divisor into W[r], the sum of tau(n) u_d^-(n)
+over n = r (d) and of tau(n) u_d^+(n) over n = -r (d) (u^+ pairs with
+K_d(-n, a)); the block is sum_r W[r] K_d(r, a), every a at once by two
+length-d DFTs (kloosterman.fold).
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .cutoff import SmoothCutoff
 from .bessel import bessel_k1, bessel_y1
 from .errors import InvalidRange, SupportTooLarge
 from .arith import divisors, reduced_mod
-from .kloosterman import _evaluator
+from .kloosterman import fold
 from .quadrature import gauss_kronrod
 from .tausieve import sieve_tau
 
@@ -274,17 +274,6 @@ def error_budget(q: int, Y: float) -> float:
     return (Y / q + 1.0) * (Y * q) ** 0.1
 
 
-def _fold(d: int, W_plus: np.ndarray, W_minus: np.ndarray, a_arr: np.ndarray) -> np.ndarray:
-    """sum_r W^+[r] K_d(-r, a) + W^-[r] K_d(r, a) for each a, by three DFTs.
-
-    The sum is real (T(-x) is the conjugate of T(x)); its imaginary part is
-    checked against sum |T(x)| over the units, which bounds every value.
-    """
-    ev = _evaluator(d)
-    T = (np.fft.fft(W_plus) + d * np.fft.ifft(W_minus))[ev.units]
-    return ev._real_part(ev.over_inverses(T)[a_arr], "W, a", float(np.abs(T).sum()))
-
-
 def voronoi_error_terms(
     X: int,
     q: int,
@@ -311,9 +300,10 @@ def voronoi_error_terms(
         um = weight_u(d, n, -1, cutoff)
         flagged = int(np.count_nonzero(up.error_estimate > _TARGET)
                       + np.count_nonzero(um.error_estimate > _TARGET))
-        W_plus = np.bincount(n % d, weights=tau * up.value, minlength=d)
-        W_minus = np.bincount(n % d, weights=tau * um.value, minlength=d)
-        totals += _fold(d, W_plus, W_minus, a_arr % d)
+        r = n % d
+        W = np.bincount(r, weights=tau * um.value, minlength=d)
+        W += np.bincount(r, weights=tau * up.value, minlength=d)[-np.arange(d) % d]
+        totals += fold(d, W, a_arr)
         report.append(TruncationEntry(d=d, V=V, n_terms=nmax, n_flagged=flagged))
     budget = error_budget(q, Y)
     rep = tuple(report)

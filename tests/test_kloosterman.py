@@ -91,10 +91,11 @@ def test_batch_over_a_matches_scalar():
 
 
 @pytest.mark.parametrize("no_twiddle", [False, True])
-def test_phase_sums_and_grid_match_loops(monkeypatch, no_twiddle):
+def test_unit_sums_and_grid_match_loops(monkeypatch, no_twiddle):
     # s^2 = d at d in {4, 9, 49}, s^2 > d (a padded grid) elsewhere; at
     # d = 2040 blocks of 7 frequencies; with the cap below d the phases are
-    # computed without the twiddle table
+    # computed without the twiddle table.  Arbitrary complex t, not only
+    # the unit-modulus phases batch_over_a feeds the unit sums
     if no_twiddle:
         monkeypatch.setattr(kloosterman_module, "TWIDDLE_CAP", 1)
     rng = np.random.default_rng(11)
@@ -104,16 +105,18 @@ def test_phase_sums_and_grid_match_loops(monkeypatch, no_twiddle):
         s = ev.side
         assert (s - 1) ** 2 < d <= s * s
         cells = s * s
-        g = rng.standard_normal(cells) + 1j * rng.standard_normal(cells)
+        t = rng.standard_normal(ev.phi) + 1j * rng.standard_normal(ev.phi)
         if d == 2040:
             monkeypatch.setattr(kloosterman_module, "_PHASE_BLOCK", 7 * s)
             a = rng.integers(0, d, 40)
         else:
             a = np.arange(d)
-        got = ev.phase_sums(g, a)
-        for k, ak in enumerate(a):
-            want = sum(g[y] * cmath.exp(2j * cmath.pi * int(ak) * y / d) for y in range(cells))
-            assert abs(got[k] - want) < 1e-10 * cells, (d, int(ak))
+        inverses = [pow(u, -1, d) for u in ev.units.tolist()]
+        for method in ("direct", "fft"):
+            got = ev.unit_sums(t, a, method)
+            for k, ak in enumerate(a):
+                want = sum(tx * cmath.exp(2j * cmath.pi * int(ak) * y / d) for tx, y in zip(t, inverses))
+                assert abs(got[k] - want) < 1e-10 * ev.phi, (d, int(ak), method)
         w = rng.standard_normal(len(a)) + 1j * rng.standard_normal(len(a))
         grid = ev.phase_grid(w, a)
         assert grid.shape == (cells,)
@@ -128,15 +131,16 @@ def test_phase_sums_and_grid_match_loops(monkeypatch, no_twiddle):
 def test_batch_auto_matches_both_routes_across_boundary(monkeypatch):
     # auto takes fft once len(a) s^2 exceeds _FFT_OVER_DIRECT d log2 d,
     # whether or not the evaluator holds a twiddle table (second pass:
-    # with the cap below d, as above TWIDDLE_CAP)
+    # with the cap below d, as above TWIDDLE_CAP); the split phases are
+    # built by the direct route alone, here in one block
     calls = []
-    real = KloostermanEvaluator.phase_sums
+    real = KloostermanEvaluator._split_phases
 
-    def spy(self, g, a):
-        calls.append(len(a))
-        return real(self, g, a)
+    def spy(self, k):
+        calls.append(len(k))
+        return real(self, k)
 
-    monkeypatch.setattr(KloostermanEvaluator, "phase_sums", spy)
+    monkeypatch.setattr(KloostermanEvaluator, "_split_phases", spy)
     for cap in (kloosterman_module.TWIDDLE_CAP, 1):
         monkeypatch.setattr(kloosterman_module, "TWIDDLE_CAP", cap)
         for d in (97, 1000, 2039):
@@ -152,17 +156,32 @@ def test_batch_auto_matches_both_routes_across_boundary(monkeypatch):
                     assert np.allclose(auto, ev.batch_over_a(5, a_vals, method=method), atol=1e-9), (d, method)
 
 
-def test_over_inverses_matches_loop():
-    # arbitrary complex t, not only the unit-modulus phases batch_over_a feeds it
+def test_fold_matches_scalar_sums():
+    # sum_r W[r] K_d(r, a) for random real W, every a and some outside [0, d)
     rng = np.random.default_rng(7)
-    for d in (2, 3, 4, 16, 35, 97):
-        ev = KloostermanEvaluator.build(d)
-        t = rng.standard_normal(ev.phi) + 1j * rng.standard_normal(ev.phi)
-        got = ev.over_inverses(t)
-        units = [u for u in range(1, d) if math.gcd(u, d) == 1]
-        for a in range(d):
-            want = sum(tu * cmath.exp(2j * cmath.pi * a * pow(u, -1, d) / d) for tu, u in zip(t, units))
-            assert abs(got[a] - want) < 1e-9 * d, (d, a)
+    for d in (1, 2, 12, 49, 97):
+        W = rng.standard_normal(d)
+        a = list(range(d)) + [-1, d + 3]
+        got = kloosterman_module.fold(d, W, a)
+        for k, ak in enumerate(a):
+            want = sum(W[r] * kloosterman(d, r, ak) for r in range(d))
+            assert abs(got[k] - want) < 1e-10 * d * np.abs(W).sum(), (d, ak)
+
+
+def test_fold_checks_the_imaginary_part(monkeypatch):
+    # one corrupted phase among the folded terms: the sum is no longer real
+    real = KloostermanEvaluator.unit_sums
+
+    def corrupted(self, t, a, method):
+        t = t.copy()
+        t[0] *= 1j
+        return real(self, t, a, method)
+
+    W = np.random.default_rng(8).standard_normal(13)
+    kloosterman_module.fold(13, W, range(13))
+    monkeypatch.setattr(KloostermanEvaluator, "unit_sums", corrupted)
+    with pytest.raises(FloatingPointError, match=r"K_13\(W, a\) imaginary part"):
+        kloosterman_module.fold(13, W, range(13))
 
 
 def test_full_table_matches_scalar():

@@ -522,6 +522,35 @@ def test_cli_sweep_refuses_a_non_finite_eps(tmp_path, capsys, literal):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["flag", "config", "override"])
+def test_cli_negative_seed_is_bad_input(tmp_path, capsys, case):
+    # PCG64 refuses a negative seed with a plain ValueError (exit 4); the
+    # flag, the config field and the override are refused first
+    cfg = _write(tmp_path, dict(BASE, seed=-3 if case == "config" else 5))
+    out = tmp_path / "out"
+    argv = {
+        "flag": ["--seed", "-1", "bilinear", "--d", "101", "--I", "0,10", "--J", "0,10"],
+        "config": ["sweep", "--config", str(cfg)],
+        "override": ["sweep", "--config", str(cfg), "--seed-override", "-2"],
+    }[case]
+    assert main(["--out-dir", str(out)] + argv) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and "internal error" not in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["errors", "--x", "100", "--q", "0", "--set", "0,5"],
+    ["voronoi-check", "--x", "1000", "--q", "0", "--y", "10", "--a", "1"],
+])
+def test_cli_modulus_below_one_is_bad_input(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "divprog: --q must be >= 1, got 0\n"
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["poisson-check", "--q", "7", "--z", "3", "--gx", "nan,1"],
     ["poisson-check", "--q", "7", "--z", "3", "--gx", "2,nan"],
@@ -634,12 +663,12 @@ def test_cli_voronoi_check_warns_on_unconverged_weights(tmp_path, capsys, monkey
 
 
 def test_cli_voronoi_check_imaginary_fold_exits_4(tmp_path, capsys, monkeypatch):
-    real = kloosterman_module.KloostermanEvaluator.over_inverses
+    real = kloosterman_module.KloostermanEvaluator.unit_sums
 
-    def corrupted(self, t):
-        return real(self, t) + 1e-6j * np.abs(t).sum()
+    def corrupted(self, t, a, method):
+        return real(self, t, a, method) + 1e-6j * np.abs(t).sum()
 
-    monkeypatch.setattr(kloosterman_module.KloostermanEvaluator, "over_inverses", corrupted)
+    monkeypatch.setattr(kloosterman_module.KloostermanEvaluator, "unit_sums", corrupted)
     out = tmp_path / "out"
     assert main(["--out-dir", str(out), "voronoi-check", "--x", "2000", "--q", "12",
                  "--y", "320", "--a", "1,5"]) == 4

@@ -393,9 +393,10 @@ def test_set_route_single_residues_and_repeats():
 
 
 def test_set_route_reads_large_sets_off_the_vector(monkeypatch):
-    # either side of _pairs_max_residues, at naive rungs (bound
-    # 2 X / (5 isqrt(X))) and a hyperbola rung (bound 9 q min(q, isqrt(X)) /
-    # (10 isqrt(X)), below q); repeats do not count toward the bound
+    # either side of _pairs_max_residues, at naive rungs (bound 2 X / (5 U),
+    # U the count of d <= isqrt(X) prime to q) and a hyperbola rung (bound
+    # 9 q min(q, isqrt(X)) / (10 U), below q); repeats do not count toward
+    # the bound
     vector = tausieve.divisor_sum_progressions
     calls = []
     monkeypatch.setattr(tausieve, "divisor_sum_progressions",
@@ -409,7 +410,25 @@ def test_set_route_reads_large_sets_off_the_vector(monkeypatch):
             calls.clear()
             assert np.array_equal(progression_sums_set(X, q, residues), S[residues]), (X, q, A)
             assert calls == ([(X, q)] if len(units[:A]) > bound else []), (X, q, A)
-    assert tausieve._pairs_max_residues(10**5, 101) == 9 * 101 * 101 // (10 * 316)
+    assert tausieve._pairs_max_residues(10**5, 101) == 9 * 101 * 101 // (10 * 313)
+
+
+def test_set_route_prices_pairs_by_the_d_prime_to_q(monkeypatch):
+    # at (1e7, 720720) only 605 of the 3162 d <= isqrt(X) are prime to q, so
+    # 3000 residues still count pairs; past the bound the vector is read
+    X, q = 10**7, 720720
+    vector = tausieve.divisor_sum_progressions
+    S = vector(X, q).sums
+    calls = []
+    monkeypatch.setattr(tausieve, "divisor_sum_progressions",
+                        lambda X, q: calls.append((X, q)) or vector(X, q))
+    units = reduced_residues(q)
+    bound = tausieve._pairs_max_residues(X, q)
+    assert bound == 2 * X // (5 * 605)
+    for A, want in ((3000, []), (bound + 1, [(X, q)])):
+        calls.clear()
+        assert np.array_equal(progression_sums_set(X, q, units[:A]), S[units[:A]]), A
+        assert calls == want, A
 
 
 def test_set_route_rejects_non_reduced_residues():

@@ -8,7 +8,9 @@ import scipy.special as sp
 from divprog import voronoi
 from divprog.cutoff import SmoothCutoff
 from divprog.errors import InvalidRange, NonReducedResidue, SupportTooLarge
+from divprog.kloosterman import kloosterman
 from divprog.mainterm import error_vector
+from divprog.tausieve import sieve_tau
 from divprog.voronoi import (
     error_budget,
     truncation_thresholds,
@@ -204,6 +206,29 @@ def test_identity_against_exact_error_terms():
         resid = abs(float(ev.R[r.a]) - r.approx_R)
         assert resid <= budget, (r.a, resid, budget)
         assert r.budget == budget
+
+
+def test_folded_expansion_matches_the_literal_kloosterman_sum():
+    # (1/q) sum_d sum_n tau(n) [u+(n) K_d(-n, a) + u-(n) K_d(n, a)] term by
+    # term with scalar Kloosterman sums; at Y = 50 the u+ terms move the sum
+    # by ~3e-3, so putting them at class n instead of -n fails
+    X, q, Y = 2000, 20, 50.0
+    cutoff = SmoothCutoff(X=float(X), Y=Y)
+    a_values = [1, 7, 13]
+    want = np.zeros(len(a_values))
+    scale = 0.0
+    for d in (1, 2, 4, 5, 10, 20):
+        n = np.arange(1, int(truncation_thresholds(d, float(X), Y)[1]) + 1)
+        tau = sieve_tau(1, len(n)).values
+        up = weight_u(d, n, +1, cutoff).value
+        um = weight_u(d, n, -1, cutoff).value
+        for k, nk in enumerate(n.tolist()):
+            for i, a in enumerate(a_values):
+                terms = tau[k] * up[k] * kloosterman(d, -nk, a), tau[k] * um[k] * kloosterman(d, nk, a)
+                want[i] += sum(terms)
+                scale += sum(map(abs, terms))
+    got = [r.approx_R for r in voronoi_error_terms(X, q, a_values, Y)]
+    assert np.max(np.abs(np.array(got) - want / q)) < 1e-12 * scale / q
 
 
 def test_batch_matches_singletons():
