@@ -18,7 +18,7 @@ from .arith import (
     ramanujan_sum,
     tau_of,
 )
-from .bessel import EULER_GAMMA, bessel_k0, bessel_k1, bessel_y0, bessel_y1, y0_envelope
+from .bessel import EULER_GAMMA, bessel_k0, bessel_k1, bessel_y0, bessel_y1
 from .bilinear import (
     BilinearInstance,
     ExponentFit,
@@ -41,7 +41,7 @@ from .characters import (
     multiplicative_congruence_count,
     multiplicative_congruence_count_brute,
 )
-from .cutoff import SmoothCutoff, SmoothPartition, smooth_partition, smoothstep
+from .cutoff import SmoothCutoff, smoothstep
 from .errors import (
     ConfigInvalid,
     DivprogError,
@@ -63,11 +63,9 @@ from .kloosterman import (
     kloosterman_table,
 )
 from .mainterm import (
-    AveragedErrors,
     ErrorTermRecord,
     ErrorVector,
     MainTermPolynomial,
-    averaged_errors,
     error_set,
     error_term,
     error_vector,
@@ -132,7 +130,6 @@ __all__ = [
     "bessel_k1",
     "bessel_y0",
     "bessel_y1",
-    "y0_envelope",
     # bilinear
     "BilinearInstance",
     "ExponentFit",
@@ -155,8 +152,6 @@ __all__ = [
     "multiplicative_congruence_count_brute",
     # cutoff
     "SmoothCutoff",
-    "SmoothPartition",
-    "smooth_partition",
     "smoothstep",
     # errors
     "ConfigInvalid",
@@ -177,11 +172,9 @@ __all__ = [
     "kloosterman_batch_over_a",
     "kloosterman_table",
     # mainterm
-    "AveragedErrors",
     "ErrorTermRecord",
     "ErrorVector",
     "MainTermPolynomial",
-    "averaged_errors",
     "error_set",
     "error_term",
     "error_vector",

@@ -2,10 +2,11 @@
 
 The weights are integrals of the cutoff against K0 and Y0; integrated by
 parts they become integrals of the cutoff's derivative against K1 and Y1
-(see voronoi.py).  All four functions are needed at absolute accuracy far
-below anything the oscillatory quadrature downstream can feel; targets
-are ~1e-12 absolute against the local envelope and 1e-10 relative away
-from zeros.
+(see voronoi.py), so the library evaluates only K1 and Y1, and K0 and Y0
+are checked against mpmath and scipy alone.  All four functions are held
+to an accuracy far below anything the oscillatory quadrature downstream
+can feel; targets are ~1e-12 absolute against the local envelope
+sqrt(2/(pi x)) and 1e-10 relative away from zeros.
 
 Every kernel is built the same way, by one builder: its ascending series
 near 0, a Chebyshev interpolant in the middle, and its large-argument
@@ -491,9 +492,3 @@ def bessel_y0(x) -> np.ndarray | float:
 def bessel_y1(x) -> np.ndarray | float:
     """Y1(x) for scalar or array x > 0."""
     return _dispatch(x, _Y1_ROUTES)
-
-
-def y0_envelope(x) -> np.ndarray | float:
-    """The local amplitude sqrt(2/(pi x)); error yardstick near zeros."""
-    arr = np.asarray(x, dtype=np.float64)
-    return np.sqrt(2.0 / (np.pi * arr))

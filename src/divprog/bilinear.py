@@ -73,10 +73,6 @@ class BilinearInstance:
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "nu", nu)
 
-    @classmethod
-    def unweighted(cls, d: int, I: tuple[int, int], J: tuple[int, int]) -> "BilinearInstance":
-        return cls(d=d, I=I, J=J, alpha=np.ones(I[1]), nu=np.ones(J[1]))
-
 
 def bilinear_sum(inst: BilinearInstance) -> complex:
     """Brute-force evaluation: the defining double sum over the unit group, no FFT."""

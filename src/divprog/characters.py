@@ -98,10 +98,6 @@ class CharacterTable:
         index[powers.ravel()[: p - 1]] = np.arange(p - 1)
         return cls(p=p, g=g, index=index)
 
-    @property
-    def order(self) -> int:
-        return self.p - 1
-
     def chi(self, j: int, x: int) -> complex:
         """chi_j(x); zero on multiples of p."""
         x %= self.p

@@ -152,6 +152,8 @@ def _cmd_exceptional(args) -> int:
 def _cmd_kloosterman(args) -> int:
     if args.batch_a:
         lo, hi = _parse_pair(args.batch_a, "--batch-a")
+        if hi < lo:
+            raise ConfigInvalid(f"--batch-a: need lo <= hi, got {lo},{hi}")
         a_vals = list(range(lo, hi + 1))
         ks = kloosterman_batch_over_a(args.d, args.m, a_vals)
         rows = [{"a": a, "K": float(k)} for a, k in zip(a_vals, ks)]

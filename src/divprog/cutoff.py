@@ -1,4 +1,4 @@
-"""Smooth cutoffs and dyadic partitions of unity.
+"""The smooth cutoff of the divisor-sum transform.
 
 The mollifier is the standard exp(-1/t) construction:
 
@@ -13,11 +13,6 @@ width Y on both sides, so |w'| <= C1/Y with C1 about 2 (measured; the
 contract only needs C1 <= 4).  Its derivative, from
 sigma' = sigma (1 - sigma) (1/t^2 + 1/(1-t)^2), vanishes off the two
 transitions.
-
-SmoothPartition(L) is the dyadic family Psi_l(x) = s(x/2^(l-1)) - s(x/2^l)
-for l = 0..L, where s(t) = sigma(t - 1) rises from 0 at t = 1 to 1 at
-t = 2.  Each Psi_l is supported in [2^(l-1), 2^(l+1)], the partial sums
-telescope to s(2x) - s(x/2^L), and sum_l Psi_l(x) = 1 for 1 <= x <= 2^L.
 """
 
 from __future__ import annotations
@@ -78,39 +73,3 @@ class SmoothCutoff:
     @property
     def support(self) -> tuple[float, float]:
         return (self.Y, self.X + self.Y)
-
-    @property
-    def plateau(self) -> tuple[float, float]:
-        return (2.0 * self.Y, self.X)
-
-
-@dataclass(frozen=True)
-class SmoothPartition:
-    """Psi_0..Psi_L with Psi_l supported in [2^(l-1), 2^(l+1)]."""
-
-    L: int
-
-    @staticmethod
-    def step(t) -> np.ndarray | float:
-        """0 below 1, 1 above 2, smooth between."""
-        return smoothstep(np.asarray(t, dtype=np.float64) - 1.0)
-
-    def psi(self, level: int, x) -> np.ndarray | float:
-        if not 0 <= level <= self.L:
-            raise InvalidRange(f"level must be in [0, {self.L}], got {level}")
-        arr = np.asarray(x, dtype=np.float64)
-        return self.step(arr / 2.0 ** (level - 1)) - self.step(arr / 2.0**level)
-
-    def partial_sum(self, x) -> np.ndarray | float:
-        """sum_{l=0}^{L} Psi_l(x); telescopes to step(2x) - step(x/2^L)."""
-        arr = np.asarray(x, dtype=np.float64)
-        total = np.zeros_like(np.atleast_1d(arr), dtype=np.float64)
-        for level in range(self.L + 1):
-            total = total + np.atleast_1d(self.psi(level, arr))
-        return float(total[0]) if np.asarray(x).ndim == 0 else total
-
-
-def smooth_partition(L: int) -> SmoothPartition:
-    if L < 3:
-        raise InvalidRange(f"need L >= 3, got {L}")
-    return SmoothPartition(L=L)

@@ -20,17 +20,16 @@ Averages over a residue set A of reduced residues:
 
 take R at the members of A only (error_set): S from the sieve module's set
 route, and M, the same for every reduced residue, from the class gcd = 1 of
-the vector's main term, so a small set builds no length-q array.  The
-exceptional set collects the a in [1, p-1] whose signed R reaches
-X^(1/3 - kappa).  Interval sets mean {B+1, ..., B+A} reduced mod q, with
-the non-reduced members dropped and counted.
+the vector's main term, so a small set builds no length-q array; error_sums
+adds them up.  The exceptional set collects the a in [1, p-1] whose signed
+R reaches X^(1/3 - kappa).  Interval sets mean {B+1, ..., B+A} reduced
+mod q, with the non-reduced members dropped and counted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -219,43 +218,18 @@ def error_set(X: int, q: int, residues: list[int]) -> np.ndarray:
     S comes from progression_sums_set, which counts pairs for a small set and
     reads a large one off the whole vector; a non-reduced residue raises
     NonReducedResidue.  M is reduced_main_term, so each R is the same float
-    as error_vector(X, q).R[a].  averaged_errors, the interval and set
-    sweeps and the CLI's voronoi-check read R here; the CLI's errors takes
-    S and M from the same two functions, to print both.
+    as error_vector(X, q).R[a].  The interval and set sweeps and the CLI's
+    voronoi-check read R here; the CLI's errors takes S and M from the same
+    two functions, to print both.
     """
     M = reduced_main_term(X, q)  # first: it refuses q < 2 cheaply
     return progression_sums_set(X, q, residues) - M
-
-
-@dataclass(frozen=True)
-class AveragedErrors:
-    X: int
-    q: int
-    D: float
-    E: float
-    cardinality: int
 
 
 def error_sums(R: np.ndarray) -> tuple[float, float]:
     """(D, E) = (sum |R|, sum R), each correctly rounded."""
     vals = R.tolist()
     return math.fsum(map(abs, vals)), math.fsum(vals)
-
-
-def averaged_errors(X: int, q: int, residues: Iterable[int]) -> AveragedErrors:
-    """D = sum |R| and E = sum R over a set of reduced residues mod q.
-
-    Duplicate residues are collapsed, and a non-reduced one raises
-    NonReducedResidue.  R comes from error_set, in O(|A| sqrt(X)) time with
-    no length-q array while |A| is below about sqrt(X) (and below q where
-    the hyperbola route would serve the vector), and from the whole vector
-    above; either way it equals error_vector's R.  D and E are correctly
-    rounded sums, so they do not depend on the input order.  error_term,
-    one residue through the scalar route, is the oracle the tests hold it to.
-    """
-    aset = sorted({a % q for a in residues})
-    D, E = error_sums(error_set(X, q, aset))
-    return AveragedErrors(X=X, q=q, D=D, E=E, cardinality=len(aset))
 
 
 def exceptional_threshold(X: int, kappa: float) -> float:

@@ -100,6 +100,10 @@ def _finite_number(value: Any) -> bool:
     return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
 
 
+def _integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -116,6 +120,25 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in _EXPERIMENTS:
             raise ConfigInvalid(f"experiment: expected one of {_EXPERIMENTS}, got {self.experiment!r}")
+        for name in ("x_grid", "modulus_grid", "lengths", "offsets", "kappas"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ConfigInvalid(f"{name}: must be an array, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
+        for name, values in (("x_grid", self.x_grid), ("modulus_grid", self.modulus_grid),
+                             ("offsets", self.offsets), ("seed", (self.seed,))):
+            for v in values:
+                if not _integer(v):
+                    raise ConfigInvalid(f"{name}: expected integers, got {v!r}")
+        for spec in self.lengths:
+            if spec != "sqrt" and not (_integer(spec) and spec >= 1):
+                raise ConfigInvalid(f"lengths: expected positive integers or 'sqrt', got {spec!r}")
+        for name, values in (("kappas", self.kappas), ("eps", (self.eps,))):
+            for v in values:
+                if not _finite_number(v):
+                    raise ConfigInvalid(f"{name}: must be a finite number, got {v!r}")
+        if not isinstance(self.thresholds, dict):
+            raise ConfigInvalid(f"thresholds: must be an object, got {self.thresholds!r}")
         if not self.x_grid:
             raise ConfigInvalid("x_grid: must be nonempty")
         if not self.modulus_grid:
@@ -147,8 +170,6 @@ class ExperimentConfig:
                 )
             if not _finite_number(limit):
                 raise ConfigInvalid(f"thresholds: {name} must be a finite number, got {limit!r}")
-        if not _finite_number(self.eps):
-            raise ConfigInvalid(f"eps: must be a finite number, got {self.eps!r}")
         if self.seed < 0:
             raise ConfigInvalid(f"seed: must be >= 0, got {self.seed}")
 
@@ -175,35 +196,22 @@ class ExperimentConfig:
         unknown = set(sets) - {"kind", "lengths", "offsets"}
         if unknown:
             raise ConfigInvalid(f"unknown sets keys: {sorted(unknown)}")
-        try:
-            return cls(
-                experiment=raw.get("experiment", ""),
-                x_grid=tuple(int(x) for x in raw.get("x_grid", ())),
-                modulus_grid=tuple(int(q) for q in raw.get("modulus_grid", ())),
-                set_kind=sets.get("kind", "interval"),
-                lengths=tuple(sets.get("lengths", ())),
-                offsets=tuple(int(b) for b in sets.get("offsets", (0,))),
-                kappas=tuple(float(k) for k in raw.get("kappas", ())),
-                seed=int(raw.get("seed", 0)),
-                eps=float(raw.get("eps", 0.05)),
-                thresholds=dict(raw.get("thresholds", {})),
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigInvalid):
-                raise
-            raise ConfigInvalid(f"malformed config field: {exc}") from exc
+        return cls(
+            experiment=raw.get("experiment", ""),
+            x_grid=raw.get("x_grid", ()),
+            modulus_grid=raw.get("modulus_grid", ()),
+            set_kind=sets.get("kind", "interval"),
+            lengths=sets.get("lengths", ()),
+            offsets=sets.get("offsets", (0,)),
+            kappas=raw.get("kappas", ()),
+            seed=raw.get("seed", 0),
+            eps=raw.get("eps", 0.05),
+            thresholds=raw.get("thresholds", {}),
+        )
 
 
 def _resolve_length(spec: Any, q: int) -> int:
-    if spec == "sqrt":
-        return max(1, math.isqrt(q))
-    try:
-        A = int(spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"lengths: expected integers or 'sqrt', got {spec!r}") from exc
-    if A < 1:
-        raise ConfigInvalid(f"lengths: need positive lengths, got {A}")
-    return A
+    return max(1, math.isqrt(q)) if spec == "sqrt" else spec
 
 
 # ----------------------------------------------------------------- sweep

@@ -84,10 +84,6 @@ class TauTable:
     def __getitem__(self, n: int) -> int:
         return int(self.values[n - self.start])
 
-    @property
-    def stop(self) -> int:
-        return self.start + len(self.values)
-
 
 def sieve_tau(start: int, length: int) -> TauTable:
     """Exact tau on [start, start+length), deep windows allowed."""

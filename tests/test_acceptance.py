@@ -1,4 +1,4 @@
-"""Acceptance suite: the twelve shipped guarantees, one test per line.
+"""Acceptance suite: the eleven shipped guarantees, one test per line.
 
 Run `pytest -v tests/test_acceptance.py` to get one pass/fail line per
 guarantee; add -s to see the measured constants each test reports.  The
@@ -26,7 +26,6 @@ from divprog.characters import (
     multiplicative_congruence_count,
     multiplicative_congruence_count_brute,
 )
-from divprog.cutoff import smooth_partition
 from divprog.kloosterman import kloosterman, kloosterman_table
 from divprog.mainterm import error_vector, main_term, main_term_coprime
 from divprog.poisson import BumpFunction, ProductTestFunction, poisson_tau, poisson_tau_twisted
@@ -322,16 +321,6 @@ def test_criterion_10_lattice_sum_matches_dual_sum_plain_and_twisted():
         f"\n[criterion 10] {plain} plain residues worst {worst_plain:.2e}; "
         f"{twisted} twists worst {worst_twist:.2e}; |eta| off by {worst_eta:.1e}"
     )
-
-
-def test_criterion_11_partition_of_unity_residual():
-    """sum_l Psi_l = 1 to 1e-12 on 1e3 points of [1, 2^(L-2)], L = 20."""
-    part = smooth_partition(20)
-    rng = np.random.default_rng(11)
-    x = np.exp(rng.uniform(0.0, (20 - 2) * math.log(2.0), 1000))
-    residual = float(np.max(np.abs(part.partial_sum(x) - 1.0)))
-    assert residual < 1e-12
-    print(f"\n[criterion 11] max residual {residual:.2e} over 1000 points")
 
 
 def test_criterion_12_sweeps_deterministic_total_and_set_ratio_stable(tmp_path):

@@ -94,7 +94,7 @@ def test_full_interval_closure():
     # I = [1, d-1]: G_I(y) = -1 + d*[y = 0], so the collapsed kernel sums
     # nu against (d*[x = 0 over units] - 1) ... verified against brute force
     d = 53
-    inst = BilinearInstance.unweighted(d, I=(0, d - 2), J=(0, 10))
+    inst = BilinearInstance(d=d, I=(0, d - 2), J=(0, 10), alpha=np.ones(d - 2), nu=np.ones(10))
     assert abs(bilinear_sum_unweighted_a(inst) - bilinear_sum(inst)) < 1e-7
 
 
@@ -127,9 +127,10 @@ def test_fast_path_rejects_alpha_near_one():
 
 def test_instance_validation():
     with pytest.raises(IntervalOutOfRange):
-        BilinearInstance.unweighted(10, I=(0, 10), J=(0, 2))  # I reaches d
+        # I reaches d
+        BilinearInstance(d=10, I=(0, 10), J=(0, 2), alpha=np.ones(10), nu=np.ones(2))
     with pytest.raises(IntervalOutOfRange):
-        BilinearInstance.unweighted(10, I=(8, 2), J=(0, 2))
+        BilinearInstance(d=10, I=(8, 2), J=(0, 2), alpha=np.ones(2), nu=np.ones(2))
     with pytest.raises(ValueError):
         BilinearInstance(d=10, I=(0, 2), J=(0, 2), alpha=np.ones(3), nu=np.ones(2))
     with pytest.raises(ValueError):

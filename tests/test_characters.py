@@ -22,7 +22,6 @@ from divprog.poisson import BumpFunction, ProductTestFunction, poisson_tau_twist
 
 def test_table_construction_and_validation():
     t = character_table(13)
-    assert t.order == 12
     assert sorted(t.index[1:]) == list(range(12))
     assert t.index[0] == -1
     with pytest.raises(NotPrime):

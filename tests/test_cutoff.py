@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from divprog.cutoff import SmoothCutoff, smooth_partition, smoothstep
+from divprog.cutoff import SmoothCutoff, smoothstep
 from divprog.errors import InvalidRange
 
 
@@ -21,7 +21,6 @@ def test_smoothstep_endpoints_and_symmetry():
 def test_cutoff_plateau_and_support_exact():
     w = SmoothCutoff(X=1000.0, Y=100.0)
     assert w.support == (100.0, 1100.0)
-    assert w.plateau == (200.0, 1000.0)
     xs = np.linspace(200.0, 1000.0, 50)
     assert np.all(w(xs) == 1.0)
     assert w(100.0) == 0.0
@@ -47,41 +46,3 @@ def test_cutoff_validation():
     with pytest.raises(InvalidRange):
         SmoothCutoff(X=100.0, Y=51.0)
     SmoothCutoff(X=100.0, Y=50.0)  # boundary is allowed
-
-
-def test_partition_level_support():
-    part = smooth_partition(8)
-    for level in range(0, 9):
-        lo, hi = 2.0 ** (level - 1), 2.0 ** (level + 1)
-        xs = np.linspace(lo * 0.2, hi * 1.5, 500)
-        vals = np.atleast_1d(part.psi(level, xs))
-        outside = (xs <= lo) | (xs >= hi)
-        assert np.all(np.abs(vals[outside]) == 0.0), level
-        assert np.all((vals >= -1e-15) & (vals <= 1.0 + 1e-15))
-
-
-def test_partition_telescopes():
-    part = smooth_partition(10)
-    xs = np.linspace(0.2, 3000.0, 700)
-    total = part.partial_sum(xs)
-    expect = part.step(2 * xs) - part.step(xs / 2.0**10)
-    assert np.allclose(total, expect, atol=1e-13)
-
-
-def test_partition_sums_to_one_on_range():
-    L = 12
-    part = smooth_partition(L)
-    rng = np.random.default_rng(11)
-    xs = rng.uniform(1.0, 2.0 ** (L - 2), 1000)
-    total = part.partial_sum(xs)
-    assert np.max(np.abs(total - 1.0)) < 1e-12
-
-
-def test_partition_validation():
-    with pytest.raises(InvalidRange):
-        smooth_partition(2)
-    part = smooth_partition(5)
-    with pytest.raises(InvalidRange):
-        part.psi(6, 1.0)
-    with pytest.raises(InvalidRange):
-        part.psi(-1, 1.0)

@@ -5,11 +5,10 @@ import pytest
 
 from divprog import mainterm, tausieve
 from divprog.arith import divisors, euler_phi, factorize, ramanujan_sum, reduced_residues
-from divprog.errors import InvalidRange, NonReducedResidue, NotPrime
+from divprog.errors import InvalidRange, NotPrime
 from divprog.mainterm import (
     EULER_GAMMA,
     MainTermPolynomial,
-    averaged_errors,
     error_set,
     error_sums,
     error_term,
@@ -173,44 +172,35 @@ def test_interval_residues_modes():
         interval_residues(7, 0, 0)
 
 
-def test_averaged_errors_singleton_and_triangle():
+def test_error_sums_singleton_and_triangle():
     X, q = 20000, 101
     rec = error_term(X, q, 13)
-    avg = averaged_errors(X, q, [13])
-    assert avg.cardinality == 1
-    assert abs(avg.D - abs(rec.R)) < 1e-9
-    assert abs(avg.E - rec.R) < 1e-9
+    D, E = error_sums(error_set(X, q, [13]))
+    assert abs(D - abs(rec.R)) < 1e-9
+    assert abs(E - rec.R) < 1e-9
 
     res, _ = interval_residues(q, 3, 40)
-    avg = averaged_errors(X, q, res)
-    assert avg.D >= 0
-    assert abs(avg.E) <= avg.D + 1e-12
+    D, E = error_sums(error_set(X, q, res))
+    assert D >= 0
+    assert abs(E) <= D + 1e-12
 
 
-def test_averaged_errors_full_reduced_set_prime():
+def test_error_sums_full_reduced_set_prime():
     X, q = 5000, 53
     ev = error_vector(X, q)
-    avg = averaged_errors(X, q, range(1, q))
-    assert abs(avg.E - float(np.sum(ev.R[1:]))) < 1e-8
-    assert avg.cardinality == q - 1
+    _, E = error_sums(error_set(X, q, list(range(1, q))))
+    assert abs(E - float(np.sum(ev.R[1:]))) < 1e-8
 
 
-def test_averaged_errors_strictness_and_dedup():
-    with pytest.raises(NonReducedResidue):
-        averaged_errors(1000, 10, [2])
-    assert averaged_errors(1000, 10, [3, 3, 13]).cardinality == 1  # 3 and 13 collapse
-
-
-def test_averaged_errors_small_and_large_paths_agree():
+def test_error_sums_small_and_large_paths_agree():
     # the scalar route, one error_term per residue, is the oracle for the vector
     X, q = 30000, 257
     for A in (6, 100):
         res, _ = interval_residues(q, 1, A)
-        avg = averaged_errors(X, q, res)
+        D, E = error_sums(error_set(X, q, res))
         rs = [error_term(X, q, a).R for a in res]
-        assert avg.cardinality == A
-        assert abs(avg.D - math.fsum(abs(r) for r in rs)) < 1e-8
-        assert abs(avg.E - math.fsum(rs)) < 1e-8
+        assert abs(D - math.fsum(abs(r) for r in rs)) < 1e-8
+        assert abs(E - math.fsum(rs)) < 1e-8
 
 
 def test_error_set_is_error_vector_at_the_set():
@@ -233,20 +223,20 @@ def test_error_sums_are_correctly_rounded():
     assert error_sums(R[:0]) == (0.0, 0.0)
 
 
-def test_averaged_errors_against_the_scalar_oracle():
+def test_error_sums_against_the_scalar_oracle():
     # error_term is the oracle: its S is the same integer, so D and E are
     # exactly the correctly rounded sums of S - M with main_term_vector's M;
     # its own M (the scalar polynomial) rounds differently, a few ulps away
     for X, q in ((30000, 257), (10**5, 1260), (10**5, 4200)):
         res, _ = interval_residues(q, 100, 60)
-        avg = averaged_errors(X, q, res)
+        D, E = error_sums(error_set(X, q, res))
         M = main_term_vector(X, q)
         recs = [error_term(X, q, a) for a in res]
         exact = [rec.S - M[rec.a] for rec in recs]
-        assert avg.D == math.fsum(abs(r) for r in exact), (X, q)
-        assert avg.E == math.fsum(exact), (X, q)
-        assert avg.D == pytest.approx(math.fsum(abs(rec.R) for rec in recs), rel=1e-12, abs=1e-9)
-        assert avg.E == pytest.approx(math.fsum(rec.R for rec in recs), rel=1e-12, abs=1e-9)
+        assert D == math.fsum(abs(r) for r in exact), (X, q)
+        assert E == math.fsum(exact), (X, q)
+        assert D == pytest.approx(math.fsum(abs(rec.R) for rec in recs), rel=1e-12, abs=1e-9)
+        assert E == pytest.approx(math.fsum(rec.R for rec in recs), rel=1e-12, abs=1e-9)
 
 
 def test_exceptional_set_matches_direct_scan():

@@ -30,6 +30,8 @@ from divprog.sweeps import (
 )
 from divprog.tausieve import divisor_sum_progressions, total_divisor_sum
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 # ---------------------------------------------------------------- bounds
 
@@ -110,6 +112,14 @@ def test_config_validation_messages(tmp_path, mutate, needle):
     with pytest.raises(ConfigInvalid) as exc:
         ExperimentConfig.from_json(_write(tmp_path, doc))
     assert needle in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "path", sorted([*ROOT.glob("configs/*.json"), *ROOT.glob("demos/*.json")]),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_shipped_configs_parse(path):
+    ExperimentConfig.from_json(path)
 
 
 def test_config_syntax_error_cites_line(tmp_path):
@@ -424,6 +434,14 @@ def test_cli_kloosterman_scalar_and_batch(tmp_path, capsys):
         assert abs(float(r["K"]) - kloosterman(13, 2, int(r["a"]))) < 1e-9
 
 
+def test_cli_kloosterman_refuses_an_empty_batch(tmp_path, capsys):
+    argv = ["--out-dir", str(tmp_path), "kloosterman", "--d", "7", "--m", "1", "--batch-a", "5,1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("divprog: config error: --batch-a: ")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_cli_bilinear_fast_flag(capsys):
     rc = main(["--seed", "3", "bilinear", "--d", "101", "--I", "0,16", "--J", "0,16"])
     assert rc == 0
@@ -520,6 +538,32 @@ def test_cli_sweep_refuses_a_non_finite_eps(tmp_path, capsys, literal):
     assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 2
     assert "eps: must be a finite number" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("update,needle", [
+    ({"x_grid": [100000.9]}, "x_grid"),
+    ({"x_grid": "100000"}, "x_grid"),
+    ({"modulus_grid": [2153.7]}, "modulus_grid"),
+    ({"modulus_grid": [True]}, "modulus_grid"),
+    ({"sets": {"kind": "interval", "lengths": [25.8, True]}}, "lengths"),
+    ({"sets": {"kind": "interval", "lengths": [True]}}, "lengths"),
+    ({"sets": {"kind": "interval", "lengths": [0]}}, "lengths"),
+    ({"sets": {"kind": "interval", "lengths": "sqrt"}}, "lengths"),
+    ({"sets": {"kind": "interval", "lengths": [8], "offsets": [0.5]}}, "offsets"),
+    ({"sets": {"kind": "interval", "lengths": [8], "offsets": 0}}, "offsets"),
+    ({"seed": 1.9}, "seed"),
+    ({"eps": "0.05"}, "eps"),
+    ({"experiment": "exceptional", "sets": {}, "kappas": ["0.1"]}, "kappas"),
+    ({"experiment": "exceptional", "sets": {}, "kappas": 0.1}, "kappas"),
+])
+def test_cli_sweep_refuses_values_of_the_wrong_type(tmp_path, capsys, update, needle):
+    # nothing is truncated or parsed from a string: the field is named, exit 2
+    cfg = _write(tmp_path, dict(BASE, **update))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"divprog: config error: {needle}: "), captured.err
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("case", ["flag", "config", "override"])
@@ -710,20 +754,29 @@ def test_console_script_installed():
     assert json.loads(proc.stdout)["q"] == 4
 
 
+def _readme_section(title: str) -> str:
+    """The text of README's "## <title>" section."""
+    text = (ROOT / "README.md").read_text()
+    return text.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_examples() -> list[list[str]]:
     """The divprog lines of the Examples block under README's "## Command line"."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    block = section.split("Examples:", 1)[1].split("```", 2)[1]
+    block = _readme_section("Command line").split("Examples:", 1)[1].split("```", 2)[1]
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("divprog ")]
 
 
+def test_readme_quick_start_runs(capsys):
+    block = _readme_section("Quick start").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def test_readme_examples_run(tmp_path, capsys):
-    root = Path(__file__).resolve().parents[1]
     examples = _readme_examples()
     assert len(examples) >= 5
     for argv in examples:
-        argv = [str(root / a) if a.startswith("configs/") else a for a in argv]
+        argv = [str(ROOT / a) if a.startswith("configs/") else a for a in argv]
         if "--out-dir" in argv:
             argv[argv.index("--out-dir") + 1] = str(tmp_path)
         else:

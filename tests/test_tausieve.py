@@ -33,7 +33,7 @@ def test_sieve_deep_window():
 
 def test_sieve_window_bounds(monkeypatch):
     tab = sieve_tau(50, 10)
-    assert tab.start == 50 and tab.stop == 60
+    assert tab.start == 50 and tab.start + len(tab.values) == 60
     with pytest.raises(InvalidRange):
         sieve_tau(0, 10)
     with pytest.raises(InvalidRange):
