@@ -227,24 +227,19 @@ def _cmd_poisson_check(args) -> int:
     g = ProductTestFunction(BumpFunction(cx, rx), BumpFunction(cy, ry))
     if args.chi is not None:
         chk = poisson_tau_twisted(g, args.q, args.chi)
-        _json_out({
-            "q": args.q, "chi": args.chi,
-            "lhs_re": chk.lhs.real, "lhs_im": chk.lhs.imag,
-            "rhs_re": chk.rhs.real, "rhs_im": chk.rhs.imag,
-            "eta_re": chk.eta.real, "eta_im": chk.eta.imag,
-            "residual": chk.residual,
-            "m_cutoffs": list(chk.m_cutoffs), "freq_converged": chk.freq_converged,
-        })
-        return 0
-    if args.z is None:
+        own = {"chi": args.chi, "eta_re": chk.eta.real, "eta_im": chk.eta.imag}
+    elif args.z is None:
         raise ConfigInvalid("poisson-check: need --z or --chi")
-    chk = poisson_tau(g, args.q, args.z)
+    else:
+        chk = poisson_tau(g, args.q, args.z)
+        own = {"z": args.z, "tau_h0": chk.tau_h0}
     _json_out({
-        "q": args.q, "z": args.z,
+        "q": args.q,
         "lhs_re": chk.lhs.real, "lhs_im": chk.lhs.imag,
         "rhs_re": chk.rhs.real, "rhs_im": chk.rhs.imag,
-        "tau_h0": chk.tau_h0, "residual": chk.residual,
+        "residual": chk.residual,
         "m_cutoffs": list(chk.m_cutoffs), "freq_converged": chk.freq_converged,
+        **own,
     })
     return 0
 

@@ -130,6 +130,9 @@ class ExperimentConfig:
             for v in values:
                 if not _integer(v):
                     raise ConfigInvalid(f"{name}: expected integers, got {v!r}")
+        for B in self.offsets:
+            if B < 0:
+                raise ConfigInvalid(f"offsets: need B >= 0, got {B}")
         for spec in self.lengths:
             if spec != "sqrt" and not (_integer(spec) and spec >= 1):
                 raise ConfigInvalid(f"lengths: expected positive integers or 'sqrt', got {spec!r}")
@@ -155,6 +158,9 @@ class ExperimentConfig:
             for k in self.kappas:
                 if not 0 < k < 1 / 3:
                     raise ConfigInvalid(f"kappas: need values in (0, 1/3), got {k}")
+            for p in self.modulus_grid:
+                if not is_prime(p):
+                    raise ConfigInvalid(f"modulus_grid: exceptional needs primes, got {p}")
         elif not self.lengths:
             raise ConfigInvalid("lengths: must be nonempty")
         if self.set_kind not in ("interval", "random"):
@@ -245,13 +251,11 @@ def _csv_value(v: Any) -> str:
     return text if isinstance(v, (bool, int, float)) else _csv_field(text)
 
 
-def emit_report(rows: list[dict], fmt: str, path: str | Path, seed: int | None = None) -> str:
-    """Write rows deterministically; returns the path written."""
+def emit_report(rows: list[dict], fmt: str, path: str | Path, seed: int) -> str:
+    """Write rows deterministically, the seed in the header; returns the path written."""
     path = Path(path)
     if fmt == "csv":
-        lines = []
-        if seed is not None:
-            lines.append(f"# seed={seed}")
+        lines = [f"# seed={seed}"]
         if rows:
             keys = list(rows[0].keys())
             lines.append(",".join(_csv_field(k) for k in keys))
@@ -259,10 +263,7 @@ def emit_report(rows: list[dict], fmt: str, path: str | Path, seed: int | None =
                 lines.append(",".join(_csv_value(row[k]) for k in keys))
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "json":
-        doc: dict[str, Any] = {"rows": rows}
-        if seed is not None:
-            doc["seed"] = seed
-        path.write_text(_json_dumps(doc) + "\n")
+        path.write_text(_json_dumps({"rows": rows, "seed": seed}) + "\n")
     else:
         raise ConfigInvalid(f"format: expected csv or json, got {fmt!r}")
     return str(path)
@@ -359,8 +360,6 @@ def _exceptional_rows(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for X in sorted(cfg.x_grid):
         for p in sorted(cfg.modulus_grid):
-            if not is_prime(p):
-                raise ConfigInvalid(f"modulus_grid: exceptional sweep needs primes, got {p}")
             R = error_vector(X, p).R
             for kappa in sorted(cfg.kappas):
                 members = exceptional_members(R, X, kappa)
@@ -381,8 +380,6 @@ def _exceptional_rows(cfg: ExperimentConfig) -> list[dict]:
 
 def run_theorem_sweep(cfg: ExperimentConfig, out_dir: str | Path, fmt: str = "csv") -> SweepResult:
     """Measure D/E/#A_kappa over the grid, emit rows plus a summary file."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     if cfg.experiment == "exceptional":
         rows = _exceptional_rows(cfg)
@@ -403,6 +400,9 @@ def run_theorem_sweep(cfg: ExperimentConfig, out_dir: str | Path, fmt: str = "cs
             breaches.append(f"max_{key}={max(in_rows):.6g} exceeds threshold {limit}")
     summary["breaches"] = breaches
 
+    # made only now, so a run that fails leaves no directory behind
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows_path = out_dir / f"sweep_{cfg.experiment}.{fmt}"
     emit_report(rows, fmt, rows_path, seed=cfg.seed)
     summary_path = out_dir / f"sweep_{cfg.experiment}_summary.json"

@@ -136,11 +136,8 @@ def test_exceptional_requires_kappas_and_primes(tmp_path):
         ExperimentConfig.from_json(_write(tmp_path, doc))
     doc["kappas"] = [0.1]
     cfg = ExperimentConfig.from_json(_write(tmp_path, doc))
-    bad = ExperimentConfig(
-        experiment="exceptional", x_grid=(2000,), modulus_grid=(100,), kappas=(0.1,)
-    )
-    with pytest.raises(ConfigInvalid):
-        run_theorem_sweep(bad, "/tmp/sweep_should_not_write")
+    with pytest.raises(ConfigInvalid, match="modulus_grid"):
+        ExperimentConfig(experiment="exceptional", x_grid=(2000,), modulus_grid=(100,), kappas=(0.1,))
     assert cfg.kappas == (0.1,)
 
 
@@ -182,9 +179,12 @@ def test_emit_report_byte_stable(tmp_path):
 def test_emit_report_quotes_fields_with_commas_or_quotes(tmp_path):
     rows = [{"set": "interval(0,40)", "note": 'say "hi"', "x": 1.5}]
     path = tmp_path / "q.csv"
-    emit_report(rows, "csv", path)
-    assert path.read_text() == 'set,note,x\n"interval(0,40)","say ""hi""",1.5\n'
+    emit_report(rows, "csv", path, seed=4)
+    header, body = path.read_text().split("\n", 1)
+    assert header == "# seed=4"
+    assert body == 'set,note,x\n"interval(0,40)","say ""hi""",1.5\n'
     with open(path, newline="") as fh:
+        fh.readline()
         assert list(csv.reader(fh)) == [["set", "note", "x"], ["interval(0,40)", 'say "hi"', "1.5"]]
 
 
@@ -555,15 +555,26 @@ def test_cli_sweep_refuses_a_non_finite_eps(tmp_path, capsys, literal):
     ({"eps": "0.05"}, "eps"),
     ({"experiment": "exceptional", "sets": {}, "kappas": ["0.1"]}, "kappas"),
     ({"experiment": "exceptional", "sets": {}, "kappas": 0.1}, "kappas"),
+    ({"experiment": "exceptional", "sets": {}, "kappas": [0.1], "modulus_grid": [100]}, "modulus_grid"),
+    ({"sets": {"kind": "interval", "lengths": [8], "offsets": [-5]}}, "offsets"),
 ])
 def test_cli_sweep_refuses_values_of_the_wrong_type(tmp_path, capsys, update, needle):
-    # nothing is truncated or parsed from a string: the field is named, exit 2
+    # nothing is truncated, parsed from a string or left to fail mid-run: the field is named, exit 2
     cfg = _write(tmp_path, dict(BASE, **update))
     out = tmp_path / "out"
     assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"divprog: config error: {needle}: "), captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_cli_sweep_that_fails_while_running_leaves_no_out_dir(tmp_path, capsys):
+    # X past the window cap is refused by the sieve, not by the config
+    cfg = _write(tmp_path, dict(BASE, x_grid=[2**41]))
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 2
+    assert "need X <" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["flag", "config", "override"])
