@@ -1,21 +1,17 @@
-"""Regenerate a Chebyshev table used by divprog.bessel.
+"""Regenerate a Chebyshev table of Y0 or Y1 used by divprog.bessel.
 
 Each kernel is served by its ascending series near 0 and by its
-large-argument expansion past x = 17; between them sit Chebyshev
-interpolants:
-
-  * Y0, Y1 on [8, 17], where the series loses digits to cancellation;
-  * exp(x) K0, exp(x) K1 on [2, 5] and [5, 17], scaled so that the
-    interpolated function varies slowly (the exp(-x) factor is applied
-    at run time).
+large-argument expansion past x = 17.  Between them Y0 and Y1 are
+Chebyshev interpolants on [8, 17], where the series loses digits to
+cancellation (K0 and K1 take the trapezoid rule there and need no table).
 
 This script rebuilds one table with mpmath at 40-digit working precision
 and prints the leading TERMS of the coefficients, ready to paste into
-bessel.py.  Run it only when changing a window or the degree; the
+bessel.py.  Run it only when changing the window or the degree; the
 committed tables are frozen.
 
-Usage: python demos/generate_bessel_table.py FAMILY ORDER LO HI
-       (FAMILY y or k, ORDER 0 or 1), e.g.  ... y 1 8 17  or  ... k 0 2 5
+Usage: python demos/generate_bessel_table.py ORDER LO HI
+       (ORDER 0 or 1), e.g.  ... 1 8 17
 """
 
 import argparse
@@ -23,7 +19,7 @@ import argparse
 import mpmath as mp
 
 DEGREE = 48
-TERMS = 32  # every dropped coefficient is below 3e-18 for every committed table
+TERMS = 32  # every dropped coefficient is below 1e-24 for both committed tables
 
 mp.mp.dps = 40
 
@@ -42,7 +38,6 @@ def cheb_coeffs(f, lo, hi, n):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("family", choices=("y", "k"))
     ap.add_argument("order", type=int, choices=(0, 1))
     ap.add_argument("lo", type=float)
     ap.add_argument("hi", type=float)
@@ -50,13 +45,9 @@ def main():
     if not 0 < args.lo < args.hi:
         raise SystemExit("need 0 < LO < HI")
     lo, hi = mp.mpf(args.lo), mp.mpf(args.hi)
-    if args.family == "y":
-        f, what = (lambda x: mp.bessely(args.order, x)), f"Y{args.order}"
-    else:
-        f, what = (lambda x: mp.exp(x) * mp.besselk(args.order, x)), f"exp(x) K{args.order}"
-    coeffs = cheb_coeffs(f, lo, hi, DEGREE)
+    coeffs = cheb_coeffs(lambda x: mp.bessely(args.order, x), lo, hi, DEGREE)
     # report the drop-off so the committed length is visibly sufficient
-    print(f"# {what} Chebyshev on [{args.lo:g}, {args.hi:g}], degree {DEGREE}, leading {TERMS} kept")
+    print(f"# Y{args.order} Chebyshev on [{args.lo:g}, {args.hi:g}], degree {DEGREE}, leading {TERMS} kept")
     print(f"# largest dropped magnitude: {mp.nstr(max(abs(c) for c in coeffs[TERMS:]), 3)}")
     print("np.array([")
     for c in coeffs[:TERMS]:

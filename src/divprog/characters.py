@@ -140,8 +140,8 @@ def _residue_counts(p: int, K: int, H: int) -> np.ndarray:
     return (K + H - r) // p - (K - 1 - r) // p
 
 
-def fourth_moment(p: int, K: int, H: int) -> float:
-    """sum over non-principal chi of |sum_{x=K}^{K+H} chi(x)|^4."""
+def fourth_moment(p: int, K: int, H: int) -> float | int:
+    """sum over non-principal chi of |sum_{x=K}^{K+H} chi(x)|^4; the pair route's is an exact int."""
     if H < 0:
         raise InvalidRange(f"need H >= 0, got {H}")
     table = character_table(p)
@@ -168,7 +168,7 @@ def fourth_moment(p: int, K: int, H: int) -> float:
     block = max(1, _PAIR_BLOCK // max(N, 1))
     for lo in range(0, N, block):
         c += np.bincount(((logs[lo : lo + block, None] + logs) % n).ravel(), minlength=n)
-    return float(n * _exact_dot(c, c, N**4) - N**4)
+    return n * _exact_dot(c, c, N**4) - N**4
 
 
 def fourth_moment_brute(p: int, K: int, H: int) -> float:

@@ -248,7 +248,7 @@ def _cmd_moment4(args) -> int:
     moment = fourth_moment(args.p, args.k, args.h)
     _json_out({
         "p": args.p, "K": args.k, "H": args.h,
-        "moment": int(moment) if moment.is_integer() else moment,  # exact: no report rounding
+        "moment": int(moment) if float(moment).is_integer() else moment,  # exact: no report rounding
         "h_squared_ratio": moment / max(args.h, 1) ** 2,
     })
     return 0

@@ -165,6 +165,8 @@ class ExperimentConfig:
             raise ConfigInvalid("lengths: must be nonempty")
         if self.set_kind not in ("interval", "random"):
             raise ConfigInvalid(f"set_kind: expected interval or random, got {self.set_kind!r}")
+        if self.set_kind == "random" and self.offsets != (0,):
+            raise ConfigInvalid(f"sets.offsets: random sets have no offsets, got {list(self.offsets)}")
         if self.experiment == "exceptional":
             allowed = {"ratio_exceptional"}
         else:
@@ -251,8 +253,14 @@ def _csv_value(v: Any) -> str:
     return text if isinstance(v, (bool, int, float)) else _csv_field(text)
 
 
+def _check_format(fmt: str) -> None:
+    if fmt not in ("csv", "json"):
+        raise ConfigInvalid(f"format: expected csv or json, got {fmt!r}")
+
+
 def emit_report(rows: list[dict], fmt: str, path: str | Path, seed: int) -> str:
     """Write rows deterministically, the seed in the header; returns the path written."""
+    _check_format(fmt)
     path = Path(path)
     if fmt == "csv":
         lines = [f"# seed={seed}"]
@@ -262,10 +270,8 @@ def emit_report(rows: list[dict], fmt: str, path: str | Path, seed: int) -> str:
             for row in rows:
                 lines.append(",".join(_csv_value(row[k]) for k in keys))
         path.write_text("\n".join(lines) + "\n")
-    elif fmt == "json":
-        path.write_text(_json_dumps({"rows": rows, "seed": seed}) + "\n")
     else:
-        raise ConfigInvalid(f"format: expected csv or json, got {fmt!r}")
+        path.write_text(_json_dumps({"rows": rows, "seed": seed}) + "\n")
     return str(path)
 
 
@@ -380,6 +386,7 @@ def _exceptional_rows(cfg: ExperimentConfig) -> list[dict]:
 
 def run_theorem_sweep(cfg: ExperimentConfig, out_dir: str | Path, fmt: str = "csv") -> SweepResult:
     """Measure D/E/#A_kappa over the grid, emit rows plus a summary file."""
+    _check_format(fmt)
     rng = np.random.default_rng(np.random.PCG64(cfg.seed))
     if cfg.experiment == "exceptional":
         rows = _exceptional_rows(cfg)

@@ -1,11 +1,16 @@
+import inspect
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 
+from divprog import bessel
 from divprog.bessel import (
     _HANKEL_TAIL,
     _modulus_phase_coeffs,
@@ -22,8 +27,9 @@ def _mp_bessel(fn, order: int, x: float) -> float:
     with mpmath.workdps(30):
         return float(fn(order, mpmath.mpf(x)))
 
-# K0, K1: Chebyshev (2, 5] -> (5, 17], then the asymptotic bands (17, 25] and
-# (25, 700]; 50, 100 and 200 check continuity inside the last band
+# K0, K1: the trapezoid rule on (2, 17], then the asymptotic bands (17, 25] and
+# (25, 700]; 5 checks continuity inside the trapezoid band, 50, 100 and 200
+# inside the last band
 K_SWITCHOVERS = (5.0, 17.0, 25.0, 50.0, 100.0, 200.0)
 # Y0, Y1: series -> Chebyshev (8, 17] -> modulus-phase bands (17, 25] and (25, inf)
 Y_SWITCHOVERS = (8.0, 17.0, 25.0)
@@ -37,8 +43,8 @@ def test_spot_values_twenty_digits():
 def test_k0_against_mpmath_sweep():
     xs = np.concatenate([
         np.linspace(0.01, 1.99, 40),
-        np.linspace(2.0, 8.0, 40),       # Chebyshev routes (2, 5] and (5, 17]
-        np.linspace(8.0, 120.0, 60),     # Chebyshev to 17, then asymptotic bands
+        np.linspace(2.0, 8.0, 40),       # the trapezoid rule on (2, 17]
+        np.linspace(8.0, 120.0, 60),     # the trapezoid rule to 17, then asymptotic bands
         np.linspace(25.0, 50.0, 40),     # where the voronoi integrals take K1
         np.linspace(120.0, 699.0, 30),
     ])
@@ -46,6 +52,27 @@ def test_k0_against_mpmath_sweep():
         want = _mp_bessel(mpmath.besselk, 0, float(x))
         got = bessel_k0(float(x))
         assert abs(got - want) <= 5e-13 * abs(want), x
+
+
+def test_k_trapezoid_band_to_double_precision():
+    # the band (2, 17] of the trapezoid rule, ends included
+    xs = np.concatenate([[2.0 + 1e-12, 2.0 + 1e-9], np.linspace(2.0, 17.0, 58)[1:-1],
+                         [17.0 - 1e-9, 17.0]])
+    assert len(xs) == 60
+    for order, fn in ((0, bessel_k0), (1, bessel_k1)):
+        got = fn(xs)
+        for x, g in zip(xs, got):
+            want = _mp_bessel(mpmath.besselk, order, float(x))
+            assert abs(g - want) <= 1e-15 * want, (order, x)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_y_tables_are_what_the_generator_prints(order):
+    script = Path(__file__).resolve().parents[1] / "demos" / "generate_bessel_table.py"
+    out = subprocess.run([sys.executable, str(script), str(order), "8", "17"],
+                         capture_output=True, text=True, check=True).stdout
+    table = out[out.index("np.array(["):]
+    assert f"_Y{order}_CHEBYSHEV = {table}" in inspect.getsource(bessel)
 
 
 def test_k0_underflow_region_returns_zero():
@@ -125,8 +152,8 @@ def test_order_one_spot_values():
 def test_k1_against_mpmath_sweep():
     xs = np.concatenate([
         np.linspace(0.01, 1.99, 40),
-        np.linspace(2.0, 8.0, 40),       # Chebyshev routes (2, 5] and (5, 17]
-        np.linspace(8.0, 120.0, 60),     # Chebyshev to 17, then asymptotic bands
+        np.linspace(2.0, 8.0, 40),       # the trapezoid rule on (2, 17]
+        np.linspace(8.0, 120.0, 60),     # the trapezoid rule to 17, then asymptotic bands
         np.linspace(25.0, 50.0, 40),     # where the voronoi integrals take K1
         np.linspace(120.0, 699.0, 30),
     ])

@@ -241,6 +241,17 @@ def test_sweep_interval_e_matches_error_vector(tmp_path):
     assert row["D"] == math.fsum(abs(float(R[a])) for a in range(2, 10))
 
 
+def test_sweep_refuses_a_bad_format_before_any_row(tmp_path, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(sweeps, "_interval_rows", no_rows)
+    out = tmp_path / "out"
+    with pytest.raises(ConfigInvalid, match="format"):
+        run_theorem_sweep(ExperimentConfig.from_json(_write(tmp_path, BASE)), out, fmt="xml")
+    assert not out.exists()
+
+
 def test_sweep_exceptional_counts(tmp_path):
     doc = {
         "experiment": "exceptional",
@@ -475,6 +486,13 @@ def test_cli_moment4_prints_the_exact_integer(capsys):
     assert json.loads(out)["moment"] == fourth_moment(999983, 12345, 1500) == 4323890292685
 
 
+def test_cli_moment4_prints_an_integer_past_two_to_the_53(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "fourth_moment", lambda p, K, H: 2**53 + 1)
+    assert main(["moment4", "--p", "101", "--k", "0", "--h", "10"]) == 0
+    out = capsys.readouterr().out
+    assert '"moment": 9007199254740993,' in out
+
+
 def test_cli_characters_at_p2(capsys):
     assert main(["moment4", "--p", "2", "--k", "0", "--h", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["moment"] == 0
@@ -557,6 +575,7 @@ def test_cli_sweep_refuses_a_non_finite_eps(tmp_path, capsys, literal):
     ({"experiment": "exceptional", "sets": {}, "kappas": 0.1}, "kappas"),
     ({"experiment": "exceptional", "sets": {}, "kappas": [0.1], "modulus_grid": [100]}, "modulus_grid"),
     ({"sets": {"kind": "interval", "lengths": [8], "offsets": [-5]}}, "offsets"),
+    ({"experiment": "set_abs", "sets": {"kind": "random", "lengths": [5], "offsets": [0, 7]}}, "sets.offsets"),
 ])
 def test_cli_sweep_refuses_values_of_the_wrong_type(tmp_path, capsys, update, needle):
     # nothing is truncated, parsed from a string or left to fail mid-run: the field is named, exit 2
