@@ -46,9 +46,10 @@ def batch_inverse(units: np.ndarray, d: int) -> np.ndarray:
     Going up, each level holds the pairwise products mod d of the one
     below, an odd-length level padded with 1.  The root is inverted once;
     going down, the inverse of a child is its parent's inverse times its
-    sibling.  Exact while d^2 < 2^63.
+    sibling.  Exact while d^2 < 2^63: the tree is int64 whatever the
+    dtype of units.
     """
-    levels = [units]
+    levels = [np.asarray(units, dtype=np.int64)]
     while len(levels[-1]) > 1:
         level = levels[-1]
         if len(level) % 2:

@@ -10,8 +10,9 @@ Two evaluation routes:
   * brute force, any alpha: T(x) = sum_n nu_n e_d(n x) on every x, then
     sum_x T(x) e_d(a xbar) for each a in I, both as s x s contractions with
     no FFT (s = isqrt(d - 1) + 1: phase_grid and the direct unit_sums of
-    kloosterman.py).  Scratch: two grids of 16 s^2 bytes, within the
-    evaluator's own 32 d bytes for d <= TWIDDLE_CAP,
+    kloosterman.py).  Scratch: two grids of 16 s^2 bytes, about 32 d in
+    all, more than the evaluator's own 8 bytes per unit (plus 16 d of
+    twiddle table for d <= TWIDDLE_CAP),
   * for alpha identically 1, the collapsed kernel
         sum_{x in (Z/d)^*} T(x) G_I(xbar),   G_I(y) = sum_{a in I} e_d(ay),
     where T(x) = sum_n nu_n e_d(nx) comes from one length-d inverse DFT

@@ -67,7 +67,7 @@ from .cache import ByteLRU
 from .errors import InvalidRange, NotPrime, NotPrimitive
 
 _BRUTE_CAP = 4 * 10**6  # pair-enumeration ceiling for the histogram route
-_PAIR_BLOCK = 1 << 20  # pair sums binned per step (8 MiB of int64)
+_PAIR_BLOCK = 1 << 18  # pairs binned per step (2 MiB of int64 scratch)
 _DFT_OVER_PAIRS = 0.5  # moment: pairs while (H+1)^2 <= this * p log2 p (fit in fourth_moment)
 _BRUTE_TERMS = 10**6  # window length ceiling of the literal fourth-moment loop
 
@@ -166,8 +166,13 @@ def fourth_moment(p: int, K: int, H: int) -> float | int:
     N = len(logs)
     c = np.zeros(n, dtype=np.int64)  # c[k] = #{ind(x1) + ind(x2) = k mod p-1}
     block = max(1, _PAIR_BLOCK // max(N, 1))
+    scratch = np.empty((block, N), dtype=np.int64)
     for lo in range(0, N, block):
-        c += np.bincount(((logs[lo : lo + block, None] + logs) % n).ravel(), minlength=n)
+        rows = logs[lo : lo + block, None]
+        sums = np.add(rows, logs, out=scratch[: len(rows)])
+        # logs lie in [0, n), so one subtraction folds every sum mod n
+        np.subtract(sums, n, out=sums, where=sums >= n)
+        np.add.at(c, sums.ravel(), 1)
     return n * _exact_dot(c, c, N**4) - N**4
 
 
@@ -218,19 +223,34 @@ def _product_histogram(p: int, box1: tuple[int, int], box2: tuple[int, int]) -> 
         x2 = np.arange(box2[0], box2[1] + 1, dtype=np.int64) % p
         x1 = x1[x1 != 0]
         x2 = x2[x2 != 0]
-        prods = x1[:, None] * x2[None, :] % p
-        return np.bincount(prods.ravel(), minlength=p).astype(np.int64)
+        out = np.zeros(p, dtype=np.int64)
+        block = max(1, _PAIR_BLOCK // max(len(x2), 1))
+        prods = np.empty((block, len(x2)), dtype=np.int64)
+        quot = np.empty_like(prods)
+        for lo in range(0, len(x1), block):
+            rows = x1[lo : lo + block, None]
+            prod = np.multiply(rows, x2, out=prods[: len(rows)])
+            # prod %= p, as prod - (prod // p) p in the two scratch blocks
+            q = np.floor_divide(prod, p, out=quot[: len(rows)])
+            q *= p
+            prod -= q
+            np.add.at(out, prod.ravel(), 1)
+        return out
     # large boxes: count residues first, convolve over the index group
     table = character_table(p)
     n = p - 1
-    h1 = np.zeros(n)
-    h2 = np.zeros(n)
-    h1[table.index[1:]] = _residue_counts(p, box1[0], box1[1] - box1[0])[1:]
-    h2[table.index[1:]] = _residue_counts(p, box2[0], box2[1] - box2[0])[1:]
     # the cyclic convolution is the linear one folded mod p-1; the linear one
     # runs at a power-of-two FFT length, since p-1 may have a large prime factor
     size = 1 << (2 * n - 2).bit_length()
-    lin = np.fft.irfft(np.fft.rfft(h1, size) * np.fft.rfft(h2, size), size)
+
+    def spectrum(box: tuple[int, int]) -> np.ndarray:
+        h = np.zeros(n)
+        h[table.index[1:]] = _residue_counts(p, box[0], box[1] - box[0])[1:]
+        return np.fft.rfft(h, size)
+
+    f1 = spectrum(box1)
+    f2 = f1 if box2 == box1 else spectrum(box2)
+    lin = np.fft.irfft(f1 * f2, size)
     conv = lin[:n]
     conv[: n - 1] += lin[n : 2 * n - 1]
     # conv[k] counts pairs with ind(x1)+ind(x2) = k mod p-1, i.e. x1 x2 = g^k

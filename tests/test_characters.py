@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,14 +130,17 @@ def test_fourth_moment_pair_route_vs_brute_every_small_prime(monkeypatch):
 
 def test_fourth_moment_pair_route_is_the_exact_count(monkeypatch):
     # (p-1) M - N^4 with M the 4-fold loop count over the window, as a
-    # Python int, so that no digit is lost past 2^53
+    # Python int, so that no digit is lost past 2^53; in one block of
+    # pairs and in blocks of a few rows, the last one partial
     for p, K, H in ((5, 0, 9), (7, -3, 20), (13, 2, 30), (31, 40, 25), (61, -61, 40), (101, 7, 30)):
         box = (K, K + H)
         brute = multiplicative_congruence_count_brute(p, box, box, box, box)
         units = sum(1 for x in range(K, K + H + 1) if x % p)
-        m = _moment_by_pairs(monkeypatch, p, K, H)
-        assert type(m) is int
-        assert m == (p - 1) * brute - units**4, (p, K, H)
+        for block in (characters._PAIR_BLOCK, 100):
+            monkeypatch.setattr(characters, "_PAIR_BLOCK", block)
+            m = _moment_by_pairs(monkeypatch, p, K, H)
+            assert type(m) is int
+            assert m == (p - 1) * brute - units**4, (p, K, H, block)
 
 
 def test_fourth_moment_pair_route_reads_only_the_log_table(monkeypatch):
@@ -309,15 +313,42 @@ def test_congruence_histogram_route_for_large_boxes():
 
 
 def test_congruence_histogram_route_matches_pair_route(monkeypatch):
-    boxes = [((3, 40), (17, 90)), ((1, 250), (5, 61)), ((200, 260), (1000, 1100))]
-    # 1018 = 2 * 509: the folded linear convolution at a power-of-two length
+    boxes = [((3, 40), (17, 90)), ((1, 250), (5, 61)), ((200, 260), (1000, 1100)),
+             ((7, 300), (7, 300))]
+    # 1018 = 2 * 509: the folded linear convolution at a power-of-two length;
+    # the pair route in one block and in blocks of a few rows, the last one
+    # partial
     for p in (3, 101, 1009, 1019):
         pair = [characters._product_histogram(p, b1, b2) for b1, b2 in boxes]
+        monkeypatch.setattr(characters, "_PAIR_BLOCK", 500)
+        blocked = [characters._product_histogram(p, b1, b2) for b1, b2 in boxes]
         monkeypatch.setattr(characters, "_BRUTE_CAP", 0)
         hist = [characters._product_histogram(p, b1, b2) for b1, b2 in boxes]
         monkeypatch.undo()
-        for h1, h2 in zip(pair, hist):
-            assert np.array_equal(h1, h2), p
+        for h1, h2, h3 in zip(pair, blocked, hist):
+            assert h1.dtype == np.int64
+            assert np.array_equal(h1, h2) and np.array_equal(h1, h3), p
+
+
+def test_congruence_histogram_route_transforms_equal_boxes_once(monkeypatch):
+    # equal boxes share one forward transform, squared.  A box shifted by p
+    # has the same residue counts but is another box, so it takes a second
+    # transform of the same histogram: the counts agree to the last bit
+    calls = []
+    real_rfft = np.fft.rfft
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real_rfft(*args)
+
+    monkeypatch.setattr(characters, "_BRUTE_CAP", 0)
+    monkeypatch.setattr(characters.np.fft, "rfft", spy)
+    p, box = 1019, (5, 700)
+    once = characters._product_histogram(p, box, box)
+    assert len(calls) == 1
+    twice = characters._product_histogram(p, box, (5 + p, 700 + p))
+    assert len(calls) == 3
+    assert np.array_equal(once, twice)
 
 
 def test_p2_runs_through_the_general_path(monkeypatch):
@@ -349,6 +380,26 @@ def test_congruence_count_is_exact_past_int64():
     # the pair route of fourth_moment squares its pair counts the same way
     c = np.full(3, 2**32, dtype=np.int64)
     assert characters._exact_dot(c, c, 3 * 2**64) == 3 * 2**64
+
+
+def test_pair_routes_run_in_fixed_scratch():
+    # past the log table (built first, outside the measurement), the pair
+    # routes hold one length-p histogram and at most two blocks of
+    # _PAIR_BLOCK int64 pairs, however many pairs the window has (1501^2
+    # here); the third block is slack for masks and the window itself
+    p, K, H = 999983, 123457, 1500
+    box = (K, K + H)
+    character_table(p)
+    limit = 8 * p + 3 * characters._PAIR_BLOCK * 8
+    for run in (lambda: fourth_moment(p, K, H),
+                lambda: multiplicative_congruence_count(p, box, box, box, box)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (peak, limit)
 
 
 def test_congruence_validation():

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -156,6 +157,51 @@ def test_batch_auto_matches_both_routes_across_boundary(monkeypatch):
                     assert np.allclose(auto, ev.batch_over_a(5, a_vals, method=method), atol=1e-9), (d, method)
 
 
+def test_split_phases_equal_the_twiddle_table_bit_for_bit(monkeypatch):
+    # with the cap below d, every phase is coarse[k // s] fine[k % s]
+    # formed per call: the same bits as the twiddle table, the outer
+    # product of those two tables, on every route
+    rng = np.random.default_rng(29)
+    for d in (97, 1000, 2039):
+        table = KloostermanEvaluator.build(d)
+        monkeypatch.setattr(kloosterman_module, "TWIDDLE_CAP", 1)
+        split = KloostermanEvaluator.build(d)
+        assert table.twiddle is not None and split.twiddle is None
+        assert np.array_equal(split._phases(np.arange(d)), table.twiddle), d
+        for m, n in ((1, 1), (0, 5), (d - 1, 2 * d + 7), (17, -3)):
+            assert split.value(m, n) == table.value(m, n), (d, m, n)
+        a = rng.integers(0, d, 50)
+        for method in ("direct", "fft"):
+            got = split.batch_over_a(7, a, method)
+            assert np.array_equal(got, table.batch_over_a(7, a, method)), (d, method)
+        w = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        assert np.array_equal(split.phase_grid(w, a), table.phase_grid(w, a)), d
+        kloosterman_module._evaluator.cache_clear()
+        tab = kloosterman_table(d)
+        monkeypatch.undo()
+        kloosterman_module._evaluator.cache_clear()
+        assert np.array_equal(tab, kloosterman_table(d)), d
+
+
+def test_unit_products_are_formed_in_int64():
+    # at d = 65537 the units reach 2^16, so u m and xbar n reach 2^32 for
+    # m, n near d: an int32 product would wrap.  Against the defining sum
+    # in Python integers
+    d = 65537
+
+    def direct_sum(m, n):
+        phases = ((m * u + n * pow(u, -1, d)) % d for u in range(1, d))
+        return sum(cmath.exp(2j * cmath.pi * k / d) for k in phases).real
+
+    ev = KloostermanEvaluator.build(d)
+    for m, n in ((d - 2, d - 5), (-3, 2 * d - 1)):
+        assert abs(ev.value(m, n) - direct_sum(m, n)) < 1e-8, (m, n)
+    a = [d - 1, d - 7]
+    got = ev.batch_over_a(d - 3, a, method="direct")
+    for k, ak in enumerate(a):
+        assert abs(got[k] - direct_sum(d - 3, ak)) < 1e-8, ak
+
+
 def test_fold_matches_scalar_sums():
     # sum_r W[r] K_d(r, a) for random real W, every a and some outside [0, d)
     rng = np.random.default_rng(7)
@@ -274,7 +320,7 @@ def test_units_and_inverses_against_gcd_filter_and_pow():
     for d in (2, 3, 4, 8, 9, 60, 486, 720720):
         ev = KloostermanEvaluator.build(d)
         want = [x for x in range(1, d) if math.gcd(x, d) == 1]
-        assert ev.units.dtype == np.int64 and ev.units.tolist() == want, d
+        assert ev.units.dtype == ev.inverses.dtype == np.int32 and ev.units.tolist() == want, d
         assert ev.inverses.tolist() == [pow(u, -1, d) for u in want], d
     # d near 1e6: all units against a gcd filter, the inverses on a slice of
     # each half (the upper half is reflected from the lower one)
@@ -301,10 +347,12 @@ def test_batch_inverse_against_pow():
         assert got.tolist() == [pow(int(u), -1, 3001) for u in units[:n]], n
     # moduli near 1e6 as the bench draws them (primes and twice a prime) and
     # its batch modulus: u * inv = 1 mod d with inv in [0, d) is the same as
-    # inv = pow(u, -1, d), checked for every unit in int64
+    # inv = pow(u, -1, d), checked for every unit in int64; the units go in
+    # as int32, as the evaluator stores them, and the tree still multiplies
+    # in int64
     for d in (997319, 998287, 998918, 999422, 100003):
         ev = KloostermanEvaluator.build(d)
-        inv = batch_inverse(ev.units, d)
+        inv = batch_inverse(ev.units.astype(np.int32), d)
         assert np.array_equal(inv, ev.inverses), d
         assert np.all((inv >= 0) & (inv < d)) and np.all(ev.units * inv % d == 1), d
 
@@ -344,23 +392,39 @@ def test_evaluator_cache_hit_does_not_build(monkeypatch):
     assert builds == [1009]
     info = kloosterman_module._evaluator.cache_info()
     assert (info.misses, info.entries) == (1, 1)
-    assert info.nbytes == ev.units.nbytes + ev.inverses.nbytes + ev.twiddle.nbytes
+    assert info.nbytes == _array_bytes(ev)
+
+
+def _array_bytes(ev):
+    """The bytes of every array field of an evaluator."""
+    fields = (getattr(ev, f.name) for f in dataclasses.fields(ev))
+    return sum(a.nbytes for a in fields if isinstance(a, np.ndarray))
 
 
 def test_evaluator_cache_is_bounded_by_bytes(monkeypatch):
     kloosterman_module._evaluator.cache_clear()
 
     def nbytes(d):
-        ev = KloostermanEvaluator.build(d)
-        return ev.units.nbytes + ev.inverses.nbytes + ev.twiddle.nbytes
+        return _array_bytes(KloostermanEvaluator.build(d))
 
-    # about 32 bytes per residue: 1009 and 2039 fit, 3001 evicts both
-    monkeypatch.setattr(cache_module, "CACHE_BYTES", 150_000)
+    # about 24 bytes per residue: 1009 and 2039 fit, 3001 evicts both
+    monkeypatch.setattr(cache_module, "CACHE_BYTES", 110_000)
     for d in (1009, 2039, 3001, 1009):
         kloosterman(d, 1, 1)
     info = kloosterman_module._evaluator.cache_info()
     assert (info.misses, info.entries) == (4, 2)
-    assert info.nbytes == nbytes(3001) + nbytes(1009) <= 150_000 < nbytes(3001) + nbytes(2039)
+    assert info.nbytes == nbytes(3001) + nbytes(1009) <= 110_000 < nbytes(3001) + nbytes(2039)
+
+
+def test_evaluator_bytes_above_the_twiddle_cap():
+    # int32 units and inverses, the two s-length phase tables, no twiddle
+    d = 999983
+    kloosterman_module._evaluator.cache_clear()
+    kloosterman(d, 1, 1)
+    s = math.isqrt(d - 1) + 1
+    assert d > kloosterman_module.TWIDDLE_CAP
+    assert kloosterman_module._evaluator.cache_info().nbytes == 8 * euler_phi(d) + 32 * s
+    kloosterman_module._evaluator.cache_clear()
 
 
 def test_scalar_sum_in_blocks_matches_brute(monkeypatch):
