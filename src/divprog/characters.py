@@ -28,11 +28,13 @@ the number of pairs with ind(x1) + ind(x2) = k mod p-1, orthogonality
 gives M = sum_k c_k^2 = #{x1 x2 = x3 x4 mod p}.  While the (H+1)^2 pairs
 cost less than the transform (a fitted multiple of p log2 p), c is
 binned from the pair sums of the window's logs and the moment is an
-exact integer.  Otherwise the inner sums of all characters at once are
-the length (p-1) inverse DFT of the index histogram of the window.  The
-pair route reads only the log table, never the product histograms
-below, so the congruence count stays an independent check of the
-moment.  The O(pH) double loop stays as the oracle.
+exact integer.  Pair binning forms each unordered pair once, in blocks
+of rows: a block against the later columns counts 2 per pair, its own
+square 1 per ordered pair.  Otherwise the inner sums of all characters
+at once are the length (p-1) inverse DFT of the index histogram of the
+window.  The pair route reads only the log table, never the product
+histograms below, so the congruence count stays an independent check of
+the moment.  The O(pH) double loop stays as the oracle.
 
 The product-congruence count
 
@@ -41,9 +43,11 @@ The product-congruence count
 
 is a dot product of two product-residue histograms (one histogram with
 itself when the second pair of boxes repeats the first), never the
-4-fold loop except as a small-case oracle.  For large boxes a product histogram
-is the cyclic convolution of two index histograms over Z/(p-1), computed
-as a linear convolution at the least power-of-two FFT length of at least
+4-fold loop except as a small-case oracle.  For small boxes a product
+histogram bins the residue products pair by pair, each unordered pair
+once when the two boxes are equal.  For large boxes it is the cyclic
+convolution of two index histograms over Z/(p-1), computed as a linear
+convolution at the least power-of-two FFT length of at least
 2(p-1)-1 (p-1 may have a large prime factor, where a length-(p-1) FFT is
 slow), folded mod p-1 and rounded.  Its reference envelope is
 H1H2H3H4/p + sqrt(H1H2H3H4).  Both dot products (sum c_k^2 <= N^4, the
@@ -134,6 +138,40 @@ def _exact_dot(u: np.ndarray, v: np.ndarray, bound: int) -> int:
     return sum(map(operator.mul, u.tolist(), v.tolist()))
 
 
+def _pair_histogram(fold, m: int, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """hist[k] = #{(i, j) : fold(x_i, y_j) = k} over every ordered pair, as a length-m int64 array.
+
+    fold(a, b, out, tmp) writes the values of the rows a (a column) against
+    the columns b into out, already reduced into [0, m); tmp is scratch of
+    the same shape.  Without y the pairs are those of x with itself, and
+    each unordered pair is formed once: a block of rows against the
+    columns after it counts 2 per pair, and the block's own square counts
+    1 per ordered pair, diagonal included.  A block holds at most
+    max(_PAIR_BLOCK, number of columns) pairs, in two reused buffers.
+    """
+    cols = x if y is None else y
+    hist = np.zeros(m, dtype=np.int64)
+    step = max(1, _PAIR_BLOCK // max(len(cols), 1))
+    size = min(step, len(x)) * len(cols)
+    vals, tmp = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+
+    def bin_block(a: np.ndarray, b: np.ndarray, weight: int) -> None:
+        shape = (len(a), len(b))
+        out = vals[: len(a) * len(b)].reshape(shape)
+        fold(a[:, None], b, out, tmp[: out.size].reshape(shape))
+        np.add.at(hist, out.ravel(), weight)
+
+    for lo in range(0, len(x), step):
+        rows = x[lo : lo + step]
+        if y is not None:
+            bin_block(rows, y, 1)
+        else:
+            bin_block(rows, rows, 1)
+            if lo + step < len(x):
+                bin_block(rows, x[lo + step :], 2)
+    return hist
+
+
 def _residue_counts(p: int, K: int, H: int) -> np.ndarray:
     """How often each residue r = 0..p-1 appears among {K, ..., K+H}."""
     r = np.arange(p, dtype=np.int64)
@@ -146,14 +184,17 @@ def fourth_moment(p: int, K: int, H: int) -> float | int:
         raise InvalidRange(f"need H >= 0, got {H}")
     table = character_table(p)
     n = p - 1
-    # Fitted on 2 cores with numpy 2.4: pairs cost 10-13 ns per pair, the
-    # DFT 3-6 ns per p log2 p where p-1 is smooth (65537, 786433) and
-    # 13-23 ns where numpy's FFT is Bluestein's (10007, 100003, 999983).
-    # The two took equal time at (H+1)^2 = c p log2 p with c from 0.12 to
-    # 0.54 (smooth) and 1.1 to 2.1 (Bluestein), 0.6 to 6.5 at p <= 1009,
-    # where both take under 0.1 ms near the boundary; c = 0.5 errs by at
-    # most ~4x either way.  A window of 1501 at p = 999983: pairs 30 ms,
-    # DFT 468 ms; of 3001 at p = 100003: pairs 106 ms, DFT 29 ms.
+    # Measured on 2 cores with numpy 2.4, each unordered pair formed once:
+    # pairs cost 4-5 ns per ordered pair for p >= 65537 (6-8 ns at
+    # p = 1009 and 10007, where a call takes under 1 ms), the DFT 3-4 ns
+    # per p log2 p where p-1 is smooth (65537, 786433) and 8-15 ns where
+    # numpy's FFT is Bluestein's (10007, 100003, 999983).  The two take
+    # equal time at (H+1)^2 = c p log2 p with c from 0.7 to 1.0 (smooth),
+    # 1.1 to 3.6 (Bluestein) and 0.6 at p = 1009.  c = 0.5 was fitted
+    # when pairs cost 10-13 ns and is kept, so that every route choice and
+    # int or float result stays as it was; a refit belongs with an exact
+    # long-window route.  A window of 1501 at p = 999983: pairs 10 ms, DFT
+    # 275 ms; of 3001 at p = 100003: pairs 23 ms, DFT 14 ms.
     if (H + 1) ** 2 > _DFT_OVER_PAIRS * p * math.log2(p):
         cnt = _residue_counts(p, K, H)
         hist = np.zeros(n, dtype=np.float64)
@@ -164,15 +205,16 @@ def fourth_moment(p: int, K: int, H: int) -> float | int:
     xs = np.arange(K, K + H + 1, dtype=np.int64) % p
     logs = table.index[xs[xs != 0]]
     N = len(logs)
-    c = np.zeros(n, dtype=np.int64)  # c[k] = #{ind(x1) + ind(x2) = k mod p-1}
-    block = max(1, _PAIR_BLOCK // max(N, 1))
-    scratch = np.empty((block, N), dtype=np.int64)
-    for lo in range(0, N, block):
-        rows = logs[lo : lo + block, None]
-        sums = np.add(rows, logs, out=scratch[: len(rows)])
-        # logs lie in [0, n), so one subtraction folds every sum mod n
-        np.subtract(sums, n, out=sums, where=sums >= n)
-        np.add.at(c, sums.ravel(), 1)
+
+    def add_mod_n(a, b, out, tmp):
+        np.add(a, b, out=out)
+        # logs lie in [0, n), so subtracting (sum >= n) n folds every sum
+        # mod n, in half the time of a subtraction masked with where=
+        np.greater_equal(out, n, out=tmp)
+        tmp *= n
+        out -= tmp
+
+    c = _pair_histogram(add_mod_n, n, logs)  # c[k] = #{ind(x1) + ind(x2) = k mod p-1}
     return n * _exact_dot(c, c, N**4) - N**4
 
 
@@ -223,19 +265,15 @@ def _product_histogram(p: int, box1: tuple[int, int], box2: tuple[int, int]) -> 
         x2 = np.arange(box2[0], box2[1] + 1, dtype=np.int64) % p
         x1 = x1[x1 != 0]
         x2 = x2[x2 != 0]
-        out = np.zeros(p, dtype=np.int64)
-        block = max(1, _PAIR_BLOCK // max(len(x2), 1))
-        prods = np.empty((block, len(x2)), dtype=np.int64)
-        quot = np.empty_like(prods)
-        for lo in range(0, len(x1), block):
-            rows = x1[lo : lo + block, None]
-            prod = np.multiply(rows, x2, out=prods[: len(rows)])
-            # prod %= p, as prod - (prod // p) p in the two scratch blocks
-            q = np.floor_divide(prod, p, out=quot[: len(rows)])
-            q *= p
-            prod -= q
-            np.add.at(out, prod.ravel(), 1)
-        return out
+
+        def mul_mod_p(a, b, out, tmp):
+            np.multiply(a, b, out=out)
+            # out %= p, as out - (out // p) p
+            np.floor_divide(out, p, out=tmp)
+            tmp *= p
+            out -= tmp
+
+        return _pair_histogram(mul_mod_p, p, x1, None if box2 == box1 else x2)
     # large boxes: count residues first, convolve over the index group
     table = character_table(p)
     n = p - 1

@@ -25,8 +25,10 @@ Both sides are returned; nothing is asserted here.  The dual side
 truncates frequencies where |ghat_i(m/q)| falls below 1e-13 of its peak;
 Fourier integrals use panel-composite Gauss-Legendre with one panel per
 oscillation.  The panels share one half width h, so a node is
-x = mid_p + h t_k and its phase separates, e(u x) = e(u mid_p) e(u h t_k):
-a frequency costs P + 16 complex exponentials for P panels, not 16 P.
+x = mid_p + h t_k and its phase separates, e(u x) = e(u mid_p) e(u h t_k),
+and the midpoints step by 2h: with p = B i + j and B = ceil(sqrt P),
+e(u mid_p) = e(u mid_0) e(2uhB i) e(2uh j).  A frequency costs at most
+2B + 16 complex exponentials for P panels, not 16 P.
 
 The dual weight depends on m1 m2 only mod q, so each side is first
 folded by residue, H_i[r] = sum_{m = r mod q} h_i(m), and the double sum
@@ -110,14 +112,23 @@ class BumpFunction:
         panels = 24 + int(math.ceil(2.0 * self.radius * np.abs(u_arr).max()))
         mid, h = _panels(*self.support, panels)
         nodes, weights = gauss_legendre(16)
-        gw = self(mid[:, None] + h * nodes[None, :]) * (h * weights)  # panels x 16
+        # panel p = B i + j: mid_p = mid_0 + 2h (B i + j); the rows past the
+        # last panel carry zero weight
+        B = math.isqrt(panels - 1) + 1
+        gw = np.zeros((-(-panels // B) * B, 16))
+        gw[:panels] = self(mid[:, None] + h * nodes[None, :]) * (h * weights)
+        coarse_step = 2.0 * h * B * np.arange(len(gw) // B)
+        fine_step = 2.0 * h * np.arange(B)
         out = np.empty(len(u_arr), dtype=np.complex128)
-        step = max(1, _PHASE_CHUNK // panels)
+        step = max(1, _PHASE_CHUNK // len(gw))
         for lo in range(0, len(u_arr), step):
             chunk = u_arr[lo : lo + step, None]
-            # e(u x) = e(u mid_p) e(u h t_k) at the node x = mid_p + h t_k
-            outer = np.exp(2j * np.pi * chunk * mid[None, :])
-            inner = np.exp(2j * np.pi * chunk * (h * nodes)[None, :])
+            # e(u x) = e(u mid_0) e(2uhB i) e(2uh j) e(u h t_k) at the node
+            # x = mid_p + h t_k: at most 2B + 16 exponentials per frequency
+            coarse = np.exp(2j * np.pi * chunk * coarse_step[None, :])
+            fine = np.exp(2j * np.pi * chunk * fine_step[None, :])
+            outer = (coarse[:, :, None] * fine[:, None, :]).reshape(len(chunk), len(gw))
+            inner = np.exp(2j * np.pi * chunk * (mid[0] + h * nodes)[None, :])
             out[lo : lo + step] = ((outer @ gw) * inner).sum(axis=1)
         return out
 

@@ -131,16 +131,22 @@ def test_fourth_moment_pair_route_vs_brute_every_small_prime(monkeypatch):
 def test_fourth_moment_pair_route_is_the_exact_count(monkeypatch):
     # (p-1) M - N^4 with M the 4-fold loop count over the window, as a
     # Python int, so that no digit is lost past 2^53; in one block of
-    # pairs and in blocks of a few rows, the last one partial
-    for p, K, H in ((5, 0, 9), (7, -3, 20), (13, 2, 30), (31, 40, 25), (61, -61, 40), (101, 7, 30)):
+    # pairs and in blocks of one row, of two rows and of a few rows, the
+    # last one partial.  The window holds no unit at (2, 2, 0) and
+    # (13, 13, 0), one at (13, 26, 1), and repeats residues where H >= p
+    windows = ((2, 2, 0), (13, 13, 0), (13, 26, 1), (5, 0, 9), (7, -3, 20), (13, 2, 30),
+               (13, -3, 31), (31, 40, 25), (61, -61, 40), (101, 7, 30))
+    for p, K, H in windows:
         box = (K, K + H)
         brute = multiplicative_congruence_count_brute(p, box, box, box, box)
         units = sum(1 for x in range(K, K + H + 1) if x % p)
-        for block in (characters._PAIR_BLOCK, 100):
+        loop = fourth_moment_brute(p, K, H)
+        for block in (characters._PAIR_BLOCK, 100, 7, 1):
             monkeypatch.setattr(characters, "_PAIR_BLOCK", block)
             m = _moment_by_pairs(monkeypatch, p, K, H)
             assert type(m) is int
             assert m == (p - 1) * brute - units**4, (p, K, H, block)
+            assert abs(m - loop) <= 1e-9 * max(1.0, loop), (p, K, H, block)
 
 
 def test_fourth_moment_pair_route_reads_only_the_log_table(monkeypatch):
@@ -314,20 +320,26 @@ def test_congruence_histogram_route_for_large_boxes():
 
 def test_congruence_histogram_route_matches_pair_route(monkeypatch):
     boxes = [((3, 40), (17, 90)), ((1, 250), (5, 61)), ((200, 260), (1000, 1100)),
-             ((7, 300), (7, 300))]
+             ((7, 300), (7, 300)), ((0, 0), (0, 0)), ((0, 1), (0, 1)), ((0, 1), (5, 9))]
     # 1018 = 2 * 509: the folded linear convolution at a power-of-two length;
-    # the pair route in one block and in blocks of a few rows, the last one
-    # partial
+    # the pair route in one block and in blocks of a few hundred pairs, of
+    # a few rows and of one row, the last one partial.  (0, 0) holds no
+    # unit and (0, 1) one.  Equal boxes form each unordered pair once; the
+    # box shifted by p holds the same residues but takes the ordered route
     for p in (3, 101, 1009, 1019):
-        pair = [characters._product_histogram(p, b1, b2) for b1, b2 in boxes]
-        monkeypatch.setattr(characters, "_PAIR_BLOCK", 500)
-        blocked = [characters._product_histogram(p, b1, b2) for b1, b2 in boxes]
         monkeypatch.setattr(characters, "_BRUTE_CAP", 0)
         hist = [characters._product_histogram(p, b1, b2) for b1, b2 in boxes]
         monkeypatch.undo()
-        for h1, h2, h3 in zip(pair, blocked, hist):
-            assert h1.dtype == np.int64
-            assert np.array_equal(h1, h2) and np.array_equal(h1, h3), p
+        for block in (characters._PAIR_BLOCK, 500, 7, 1):
+            monkeypatch.setattr(characters, "_PAIR_BLOCK", block)
+            for (b1, b2), want in zip(boxes, hist):
+                pair = characters._product_histogram(p, b1, b2)
+                assert pair.dtype == np.int64
+                assert np.array_equal(pair, want), (p, b1, b2, block)
+                if b2 == b1:
+                    shifted = (b1[0] + p, b1[1] + p)
+                    assert np.array_equal(pair, characters._product_histogram(p, b1, shifted))
+            monkeypatch.undo()
 
 
 def test_congruence_histogram_route_transforms_equal_boxes_once(monkeypatch):

@@ -154,12 +154,50 @@ def test_bump_fourier_matches_full_phase_matrix_over_a_scan():
         assert np.max(np.abs(g.fourier(u) - _fourier_full_phase_matrix(g, u))) < 1e-13 * peak
 
 
+def _fourier_panel_phases(g, u):
+    """ghat(u) with one phase e(u mid_p) per panel, each from its own exponential."""
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    panels = 24 + int(math.ceil(2.0 * g.radius * np.abs(u).max()))
+    mid, h = poisson._panels(*g.support, panels)
+    nodes, weights = poisson.gauss_legendre(16)
+    gw = g(mid[:, None] + h * nodes[None, :]) * (h * weights)
+    outer = np.exp(2j * np.pi * u[:, None] * mid[None, :])
+    inner = np.exp(2j * np.pi * u[:, None] * (h * nodes)[None, :])
+    return panels, ((outer @ gw) * inner).sum(axis=1)
+
+
+def test_bump_fourier_separable_panel_phases():
+    # radius 1/2: u over [0, P - 24] takes P panels, for P a perfect square
+    # (B = sqrt P columns fill every row) and P = k^2 + 1 (one panel in the
+    # last row, the rest zero-weight padding)
+    g = BumpFunction(1.0, 0.5)
+    counts = [k * k + e for k in range(5, 12) for e in (0, 1)] + [144]
+    for P in counts:
+        u = np.linspace(0.0, P - 24, 97)
+        panels, want = _fourier_panel_phases(g, u)
+        assert panels == P
+        got = g.fourier(u)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.abs(want).max(), P
+
+
 def test_bump_fourier_chunks_long_frequency_arrays(monkeypatch):
     g = BUMPS.gx
     u = np.linspace(-40.0, 40.0, 301)
     whole = g.fourier(u)
     monkeypatch.setattr(poisson, "_PHASE_CHUNK", 1000)  # about 3 frequencies a step
     assert np.max(np.abs(g.fourier(u) - whole)) < 1e-15 * np.abs(whole).max()
+
+
+def test_bench_and_readme_checks_keep_their_cutoffs():
+    # the frequency scan depends on the bump and q alone: the bench runs
+    # q = 7, 11 plain and p = 7, 13 twisted, the README q = 7 with chi_2
+    want = {7: (512, 384), 11: (800, 576), 13: (928, 672)}
+    for q in (7, 11):
+        chk = poisson_tau(BUMPS, q, 1)
+        assert chk.m_cutoffs == want[q] and chk.freq_converged is True, q
+    for p, j in ((7, 2), (13, 5)):
+        chk = poisson_tau_twisted(BUMPS, p, j)
+        assert chk.m_cutoffs == want[p] and chk.freq_converged is True, p
 
 
 def _dual_sum_brute(g, q, weight_of_product):
