@@ -10,15 +10,13 @@ sqrt(2/(pi x)) and 1e-10 relative away from zeros.
 
 Every kernel is built the same way, by one builder: its ascending series
 near 0, its large-argument expansion past x = 17, and in between the
-trapezoid rule (K) or a Chebyshev interpolant (Y).  The four ascending
-series are one recurrence in (+-x^2/4)^k / (k! (k + nu)!).  The Y
-interpolants keep the leading 32 coefficients of degree 47, frozen from
-demos/generate_bessel_table.py (mpmath, 40-digit working precision), every
-dropped coefficient below 1e-24.  Both large-argument expansions are summed
-on the same bands, (17, 25] and (25, inf), with one truncation rule: each
-band sums the terms its lower end needs for the next one to fall under
-1e-17, or, where the divergent series never gets that small, up to its
-smallest term.  The library never evaluates K1 past voronoi._K_ARG_CUT = 50.
+trapezoid rule on an integral of the kernel.  The four ascending series
+are one recurrence in (+-x^2/4)^k / (k! (k + nu)!).  Both large-argument
+expansions are summed on the same bands, (17, 25] and (25, inf), with one
+truncation rule: each band sums the terms its lower end needs for the next
+one to fall under 1e-17, or, where the divergent series never gets that
+small, up to its smallest term.  The library never evaluates K1 past
+voronoi._K_ARG_CUT = 50.
 
 K0, K1 (positive, monotone decreasing):
   * x <= 2: ascending series (DLMF 10.31.2, 10.31.1)
@@ -47,7 +45,16 @@ Y0, Y1 (oscillatory):
         Y1 = -2/(pi x) + (2/pi)(log(x/2) + gamma) J1(x)
              - (x/(2 pi)) sum_k (H_k + H_(k+1)) (-x^2/4)^k / (k! (k+1)!);
     cancellation grows with x and caps the accuracy near 1e-13 at x = 8;
-  * 8 < x <= 17: a Chebyshev interpolant of Y_nu;
+  * 8 < x <= 17: the trapezoid rule on Hankel's integral (checked against
+    mpmath; expanding its last factor binomially in u = s^2 gives the
+    large-argument expansion)
+        H_nu^(1)(x) = sqrt(2/(pi x)) exp(i w) / Gamma(nu + 1/2)
+                      int_R s^(2 nu) exp(-s^2) (1 + i s^2/(2x))^(nu - 1/2) ds,
+    w = x - (2 nu + 1) pi/4 and Y_nu = Im H_nu^(1), at h = 0.45 on the nodes
+    s = 0, +-h, .., +-14h (exp(-s^2) < 1e-17 past s = 6.3), in real
+    arithmetic: sqrt(1 + ia) = c + ia/(2c), c = sqrt((1 + sqrt(1 + a^2))/2).
+    sin w and cos w come from sin x and cos x, so x - (2 nu + 1) pi/4 is
+    never rounded.  Against mpmath it reads under 7e-16 of the envelope;
   * x > 17: modulus and phase (DLMF 10.18.4), Y_nu = M_nu(x) sin(theta_nu(x)),
         M_nu^2 = (2/(pi x)) sum_k m_k x^(-2k),
         m_k = (1.3..(2k-1) / 2.4..(2k)) (mu - 1)(mu - 9)..(mu - (2k-1)^2) / 4^k
@@ -93,82 +100,13 @@ _TWO_PI_3 = float.fromhex("0x1.68c234c4c6629p-37")
 _INV_2PI = 1.0 / (2.0 * np.pi)
 _K_FLOOR = 700.0  # K0, K1 < 1e-305 beyond; flushed to 0
 _K_SERIES_MAX = 2.0
-_Y_TABLE_LO = 8.0
+_Y_SERIES_MAX = 8.0
 _TRAPEZOID_STEP = 0.18  # h and the node count of the K rule, set by the band ends
 _TRAPEZOID_NODES = 21
+_Y_TRAPEZOID_STEP = 0.45  # h and the node count of the Y rule: s = 0, +-h, .., +-14h
+_Y_TRAPEZOID_NODES = 14
 
 _HARMONIC = np.cumsum(1.0 / np.arange(1, 64))  # _HARMONIC[k - 1] = H_k
-
-# Chebyshev coefficients of Y0 and Y1 on (_Y_TABLE_LO, 17]
-_Y0_CHEBYSHEV = np.array([
-    0.063922071070524766850,
-    -0.089918998806429784368,
-    0.094512410072830446648,
-    -0.12395511958427779222,
-    -0.11460836087836227390,
-    0.065571886925162203306,
-    0.023697336002610349082,
-    -0.010599578705475652390,
-    -0.0021955542839305848484,
-    0.00086406738033639820970,
-    0.00011837138364620676072,
-    -0.000043021333378805809263,
-    -4.2344854486963061149e-6,
-    1.4553374395405806388e-6,
-    1.0866746152764129319e-7,
-    -3.5789230601276169670e-8,
-    -2.1084126359906942486e-9,
-    6.7070475446483100493e-10,
-    3.2092750541038892256e-11,
-    -9.9127661398326633015e-12,
-    -3.9455327847553883124e-13,
-    1.1871399408517571984e-13,
-    3.9947597054294698895e-15,
-    -1.1746316069976049022e-15,
-    -3.4200964492250242300e-17,
-    9.8207473747022886322e-18,
-    2.4253661046995986553e-19,
-    -6.8819597854311968471e-20,
-    -1.7001117197239332494e-21,
-    4.5542285092513058038e-22,
-    3.4759703788914998004e-24,
-    -1.3927871590090941459e-24,
-])
-_Y1_CHEBYSHEV = np.array([
-    0.044622268522569220571,
-    0.063846512636785932985,
-    0.049280537575614092535,
-    0.14785754381263521889,
-    -0.11599295520342296376,
-    -0.055890653304453268036,
-    0.029722349074715265809,
-    0.0073022427025076628480,
-    -0.0032541180089867638485,
-    -0.00050417252924552772394,
-    0.00020215151235882899034,
-    0.000021922509182057879278,
-    -8.1750063819994104954e-6,
-    -6.6141321098908666841e-7,
-    2.3360993534616652895e-7,
-    1.4739882960681378108e-8,
-    -4.9849353290079355138e-9,
-    -2.5327356191911432613e-10,
-    8.2611704726343190115e-11,
-    3.4684424091968119229e-12,
-    -1.0960982322437444307e-12,
-    -3.8697843919088799253e-14,
-    1.1899045884562287788e-14,
-    3.6202875622157299917e-16,
-    -1.0829943141322898981e-16,
-    -2.7815316957629186876e-18,
-    8.1998386124088387695e-19,
-    2.1113580778839758620e-20,
-    -5.8513130108597447097e-21,
-    -4.3365066613632927988e-23,
-    1.8581512175271659652e-23,
-    2.9812051049204029139e-24,
-])
-
 
 def _ascending(x: np.ndarray, order: int, sign: float, terms: int) -> tuple:
     """log(x/2) + gamma, sum_k t_k and sum_k h_k t_k over k <= terms.
@@ -210,17 +148,6 @@ def _y1_series(x: np.ndarray) -> np.ndarray:
     return (-1.0 / half + 2.0 * log_term * half * j1 - half * h) / np.pi
 
 
-def _chebyshev(x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The Y interpolant with these coefficients on (_Y_TABLE_LO, 17]."""
-    lo, hi = _Y_TABLE_LO, _BANDS[0]
-    t = (2.0 * x - (lo + hi)) / (hi - lo)
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    for c in coeffs[:0:-1]:
-        b1, b2 = c + 2.0 * t * b1 - b2, b1
-    return coeffs[0] + t * b1 - b2
-
-
 def _k_trapezoid(x: np.ndarray, order: int) -> np.ndarray:
     """K_order on (2, 17] by the trapezoid rule; cosh t - 1 = 2 sinh(t/2)^2."""
     acc = np.full_like(x, 0.5)
@@ -233,6 +160,31 @@ def _k_trapezoid(x: np.ndarray, order: int) -> np.ndarray:
         acc += term
     acc *= _TRAPEZOID_STEP
     return acc * np.exp(-x)
+
+
+def _y_trapezoid(x: np.ndarray, order: int) -> np.ndarray:
+    """Y_order on (8, 17] by the trapezoid rule on Hankel's integral, in real arithmetic."""
+    half_inv = 0.5 / x
+    re = np.full_like(x, float(order == 0))  # the node s = 0, where s^(2 order) is 1 or 0
+    im = np.zeros_like(x)
+    for k in range(1, _Y_TRAPEZOID_NODES + 1):
+        s2 = (k * _Y_TRAPEZOID_STEP) ** 2
+        w = 2.0 * s2**order * math.exp(-s2)  # the nodes +-s together
+        a = s2 * half_inv
+        r = np.sqrt(1.0 + a * a)  # |1 + ia|
+        c = np.sqrt(0.5 + 0.5 * r)
+        b = a / c  # sqrt(1 + ia) = c + i b/2
+        if order == 0:  # (1 + ia)^(-1/2) = (c - i b/2) / |1 + ia|
+            c /= r
+            b /= r
+        re += w * c
+        im += (w * (order - 0.5)) * b
+    shift = (2 * order + 1) * np.pi / 4.0
+    sin_x, cos_x = np.sin(x), np.cos(x)
+    re *= sin_x * math.cos(shift) - cos_x * math.sin(shift)  # sin w
+    im *= cos_x * math.cos(shift) + sin_x * math.sin(shift)  # cos w
+    re += im
+    return re * np.sqrt(2.0 / (np.pi * x)) * (_Y_TRAPEZOID_STEP / math.gamma(order + 0.5))
 
 
 def _horner(y: np.ndarray, coeffs) -> np.ndarray:
@@ -293,34 +245,34 @@ def _y_modulus_phase(x: np.ndarray, shift: float, m_coeffs: tuple, h_coeffs: tup
     return np.sqrt(amplitude, out=amplitude) * np.sin(theta, out=theta)
 
 
-def _kernel_routes(order: int, series, y_table=None) -> tuple[np.ndarray, tuple]:
-    """The routes of Y_order, given its Chebyshev table, or else of K_order, tiling (0, inf).
+def _kernel_routes(order: int, series, oscillatory: bool) -> tuple[np.ndarray, tuple]:
+    """The routes of Y_order (oscillatory) or of K_order, tiling (0, inf).
 
     (edges, fns): fns[i] serves (edges[i-1], edges[i]].  The ascending series
-    runs up to _Y_TABLE_LO (Y) or _K_SERIES_MAX (K), then the table or the
-    trapezoid rule up to 17, then the large-argument expansion over each of
-    _BANDS; K is 0 past _K_FLOOR.
+    runs up to _Y_SERIES_MAX or _K_SERIES_MAX, the trapezoid rule up to 17,
+    then the large-argument expansion over each of _BANDS; K is 0 past
+    _K_FLOOR.
     """
-    if y_table is not None:
-        edges = [_Y_TABLE_LO, *_BANDS[:-1]]
-        fns = [series, functools.partial(_chebyshev, coeffs=y_table)]
+    if oscillatory:
+        edges = [_Y_SERIES_MAX, *_BANDS[:-1]]
+        rule = _y_trapezoid
         m, s = _modulus_phase_coeffs(order)
         h = [s[k] / (2 * k - 1) for k in range(1, len(s))]  # theta's terms h_(k-1) x^(1-2k)
         shift = (2 * order + 1) * np.pi / 4.0
-        for lo in _BANDS[:-1]:
-            fns.append(functools.partial(_y_modulus_phase, shift=shift,
-                                         m_coeffs=_truncation(m, lo, 2, 0),
-                                         h_coeffs=_truncation(h, lo, 2, 1)))
+        bands = [functools.partial(_y_modulus_phase, shift=shift,
+                                   m_coeffs=_truncation(m, lo, 2, 0),
+                                   h_coeffs=_truncation(h, lo, 2, 1))
+                 for lo in _BANDS[:-1]]
     else:
         edges = [_K_SERIES_MAX, *_BANDS[:-1], _K_FLOOR]
-        fns = [series, functools.partial(_k_trapezoid, order=order)]
+        rule = _k_trapezoid
         a = [1.0]  # a_k(order)
         for k in range(1, _HANKEL_MAX_TERMS + 1):
             a.append(a[-1] * (4.0 * order * order - (2 * k - 1) ** 2) / (8.0 * k))
-        for lo in _BANDS[:-1]:
-            fns.append(functools.partial(_k_asymptotic, coeffs=_truncation(a, lo, 1, 0)))
-        fns.append(np.zeros_like)
-    return np.array(edges), tuple(fns)
+        bands = [functools.partial(_k_asymptotic, coeffs=_truncation(a, lo, 1, 0))
+                 for lo in _BANDS[:-1]]
+        bands.append(np.zeros_like)
+    return np.array(edges), (series, functools.partial(rule, order=order), *bands)
 
 
 def _dispatch(x, routes: tuple[np.ndarray, tuple]) -> np.ndarray | float:
@@ -329,9 +281,9 @@ def _dispatch(x, routes: tuple[np.ndarray, tuple]) -> np.ndarray | float:
     arr = np.atleast_1d(arr)
     if not arr.size:
         return arr.copy()
-    lo, hi = arr.min(), arr.max()
-    if lo <= 0.0:
-        raise InvalidRange("kernels are defined for positive arguments only")
+    lo, hi = arr.min(), arr.max()  # a NaN anywhere makes both NaN
+    if not (lo > 0.0 and math.isfinite(hi)):
+        raise InvalidRange("kernels are defined for finite positive arguments only")
     edges, fns = routes
     first, last = edges.searchsorted((lo, hi))  # fns[i] serves (edges[i-1], edges[i]]
     if first == last:  # one route serves every argument
@@ -345,10 +297,10 @@ def _dispatch(x, routes: tuple[np.ndarray, tuple]) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-_K0_ROUTES = _kernel_routes(0, _k0_series)
-_K1_ROUTES = _kernel_routes(1, _k1_series)
-_Y0_ROUTES = _kernel_routes(0, _y0_series, _Y0_CHEBYSHEV)
-_Y1_ROUTES = _kernel_routes(1, _y1_series, _Y1_CHEBYSHEV)
+_K0_ROUTES = _kernel_routes(0, _k0_series, oscillatory=False)
+_K1_ROUTES = _kernel_routes(1, _k1_series, oscillatory=False)
+_Y0_ROUTES = _kernel_routes(0, _y0_series, oscillatory=True)
+_Y1_ROUTES = _kernel_routes(1, _y1_series, oscillatory=True)
 
 
 def bessel_k0(x) -> np.ndarray | float:

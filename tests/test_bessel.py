@@ -1,16 +1,11 @@
-import inspect
 import math
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 
-from divprog import bessel
 from divprog.bessel import (
     _HANKEL_TAIL,
     _modulus_phase_coeffs,
@@ -31,7 +26,7 @@ def _mp_bessel(fn, order: int, x: float) -> float:
 # (25, 700]; 5 checks continuity inside the trapezoid band, 50, 100 and 200
 # inside the last band
 K_SWITCHOVERS = (5.0, 17.0, 25.0, 50.0, 100.0, 200.0)
-# Y0, Y1: series -> Chebyshev (8, 17] -> modulus-phase bands (17, 25] and (25, inf)
+# Y0, Y1: series -> trapezoid rule (8, 17] -> modulus-phase bands (17, 25] and (25, inf)
 Y_SWITCHOVERS = (8.0, 17.0, 25.0)
 
 
@@ -66,13 +61,16 @@ def test_k_trapezoid_band_to_double_precision():
             assert abs(g - want) <= 1e-15 * want, (order, x)
 
 
-@pytest.mark.parametrize("order", [0, 1])
-def test_y_tables_are_what_the_generator_prints(order):
-    script = Path(__file__).resolve().parents[1] / "demos" / "generate_bessel_table.py"
-    out = subprocess.run([sys.executable, str(script), str(order), "8", "17"],
-                         capture_output=True, text=True, check=True).stdout
-    table = out[out.index("np.array(["):]
-    assert f"_Y{order}_CHEBYSHEV = {table}" in inspect.getsource(bessel)
+def test_y_trapezoid_band_to_double_precision():
+    # the band (8, 17] of the trapezoid rule on Hankel's integral, ends included
+    xs = np.concatenate([[8.0 + 1e-12, 8.0 + 1e-9], np.linspace(8.0, 17.0, 58)[1:-1],
+                         [17.0 - 1e-9, 17.0]])
+    assert len(xs) == 60
+    for order, fn in ((0, bessel_y0), (1, bessel_y1)):
+        got = fn(xs)
+        for x, g in zip(xs, got):
+            want = _mp_bessel(mpmath.bessely, order, float(x))
+            assert abs(g - want) <= 2e-15 * math.sqrt(2 / (math.pi * x)), (order, x)
 
 
 def test_k0_underflow_region_returns_zero():
@@ -93,7 +91,7 @@ def test_y0_against_mpmath_envelope_relative():
     # oscillation envelope sqrt(2/(pi x)) instead
     xs = np.concatenate([
         np.linspace(0.01, 7.99, 60),
-        np.linspace(8.0, 17.0, 60),      # Chebyshev route
+        np.linspace(8.0, 17.0, 60),      # the trapezoid rule on (8, 17]
         np.linspace(17.0, 400.0, 80),
         np.linspace(400.0, 5000.0, 40),
     ])
@@ -140,6 +138,11 @@ def test_domain_validation():
         bessel_y0(-1.0)
     with pytest.raises(ValueError):
         bessel_k0(np.array([1.0, -2.0]))
+    # NaN fails every comparison and inf has no value to return: both are refused
+    for fn in (bessel_k0, bessel_k1, bessel_y0, bessel_y1):
+        for x in (math.nan, math.inf, np.array([1.0, math.nan, 30.0])):
+            with pytest.raises(ValueError):
+                fn(x)
 
 
 # ------------------------------------------------------ K1, Y1 (by-parts kernels)
@@ -167,7 +170,7 @@ def test_k1_against_mpmath_sweep():
 def test_y1_against_mpmath_envelope_relative():
     xs = np.concatenate([
         np.linspace(0.01, 7.99, 60),
-        np.linspace(8.0, 17.0, 60),      # Chebyshev route
+        np.linspace(8.0, 17.0, 60),      # the trapezoid rule on (8, 17]
         np.linspace(17.0, 400.0, 80),
         np.linspace(400.0, 5000.0, 40),
     ])

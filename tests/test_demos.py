@@ -1,7 +1,7 @@
 """The narrative demos run to the end and print their story.
 
-The two table generators (generate_*_table.py) need mpmath at high
-precision and write the frozen tables; they are not run here.
+The table generator generate_kronrod_table.py needs mpmath at high
+precision and writes a frozen table; it is not run here.
 """
 
 import os
@@ -34,4 +34,4 @@ def test_demo_runs(name):
 
 def test_every_narrative_demo_is_listed():
     scripts = {p.name for p in (ROOT / "demos").glob("*.py")}
-    assert scripts - set(DEMOS) == {"generate_bessel_table.py", "generate_kronrod_table.py"}
+    assert scripts - set(DEMOS) == {"generate_kronrod_table.py"}
